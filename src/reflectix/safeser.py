@@ -6,13 +6,21 @@ extensible constructors. The graph layer makes sharing and cycles
 first class: shared subvalues map to shared nodes, and a node may
 reference itself.
 
-Deserialization never trusts its input. Decoded graphs are checked
-against the expected type by walking nodes with type patterns,
-generalizing a node's recorded pattern by anti-unification whenever it
-is reached again at a different type. A node is re-examined only when
-its pattern strictly generalized, which bounds work per node by the
-size of the first pattern it was seen at, so checking terminates even
-on cyclic graphs presenting a node at ever-changing types.
+Deserialization never trusts its input, and takes one path: decode the
+bytes into a graph, check the graph against the expected type, then
+materialize the value from that same graph.
+
+The checker walks nodes with type patterns, generalizing a node's
+recorded pattern by anti-unification whenever it is reached again at a
+different type. A node is re-examined only when its pattern strictly
+generalized, which bounds work per node by the size of the first
+pattern it was seen at, so checking terminates even on cyclic graphs
+presenting a node at ever-changing types.
+
+The materializer re-checks every use of a node at the concrete type of
+that use, so it is safe on a graph nobody checked. It refuses cycles
+(the value layer cannot tie knots) by noticing when it reaches a node
+whose own fields it is still building.
 """
 
 from __future__ import annotations
@@ -31,7 +39,6 @@ from .errors import (
     MalformedBytes,
     MalformedValue,
     NoDescriptor,
-    ReflectixError,
     RepresentationRejected,
 )
 from .typerep import ANY, TypePattern, TypeRep, anti_unify, pattern_size, render
@@ -413,22 +420,6 @@ def _resolve_synonyms(p: TypeRep) -> TypeRep:
     raise NoDescriptor(f"synonym chain too long at {render(p)}")
 
 
-def _normalize_pattern(p: TypePattern) -> TypePattern:
-    """Resolve synonyms and public representations, for pattern maps."""
-    if p is ANY:
-        return ANY
-    for _ in range(64):
-        p = _resolve_synonyms(p)
-        dd = d.view_desc(p)
-        if isinstance(dd, (d.AbstractDesc, d.OpaqueDesc)):
-            rep = d.try_repr(p)
-            if rep is not None:
-                p = rep.repr_ty
-                continue
-        return p
-    raise NoDescriptor(f"representation chain too long at {render(p)}")
-
-
 def _ensure(st: ConvertState, n: int, p: TypePattern, path: str) -> Optional[int]:
     if p is ANY:
         return _copy_verbatim(st, n) if st.emitting else None
@@ -465,6 +456,7 @@ def _ensure(st: ConvertState, n: int, p: TypePattern, path: str) -> Optional[int
     if q is not None:
         g = anti_unify(q, p)
         if g == q:
+            out = None
             if st.emitting:
                 kq = (n, q)
                 if kq in st.memo:
@@ -473,9 +465,8 @@ def _ensure(st: ConvertState, n: int, p: TypePattern, path: str) -> Optional[int
                     out = st.pending[kq]
                 else:  # pragma: no cover - every visited entry has a slot
                     out = _examine(st, n, q, path)
-                st.memo[key] = out
-                return out
-            return None
+            st.memo[key] = out
+            return out
         st.visited[n] = g
         st.updates[n] += 1
         if g is ANY:
@@ -495,7 +486,10 @@ def _examine(st: ConvertState, n: int, p: TypePattern, path: str) -> Optional[in
     if st.emitting:
         out_idx = len(st.out_nodes)
         st.out_nodes.append(None)
-        st.pending[(n, p)] = out_idx
+    # Checking without emitting records its keys too, so _ensure answers
+    # a revisit at an already covered pattern without resolving and
+    # joining again.
+    st.pending[(n, p)] = out_idx
     refs: list[int] = []
 
     def on_field(m: int, fp: TypePattern, fpath: str) -> None:
@@ -504,8 +498,8 @@ def _examine(st: ConvertState, n: int, p: TypePattern, path: str) -> Optional[in
     template = _match_node(st.graph, n, p, path, on_field)
     if st.emitting:
         st.out_nodes[out_idx] = _fill_template(template, refs)
-        del st.pending[(n, p)]
-        st.memo[(n, p)] = out_idx
+    del st.pending[(n, p)]
+    st.memo[(n, p)] = out_idx
     return out_idx
 
 
@@ -559,10 +553,10 @@ def _match_node(
 ) -> tuple:
     """Check one node against one concrete pattern.
 
-    Field constraints are reported through on_field rather than by
-    direct recursion, so the same rules drive the recursive checker and
-    the topological one. Returns a template describing the node for
-    conversion output.
+    These are the checker's structural rules; the materializer applies
+    the same rules again while it builds each value. Every field
+    constraint goes to on_field after the node itself has passed.
+    Returns a template describing the node for conversion output.
     """
     node = graph.nodes[n]
     found = node_kind(node)
@@ -651,6 +645,13 @@ def check_compat(t: TypeRep, g: ValueGraph, root: Optional[int] = None) -> Conve
     Raises Incompatible, NoDescriptor, or UnknownConstructor on
     failure; returns the walk state, whose counters record descents
     and pattern updates per node.
+
+    A node shared between uses at different types is checked at the
+    anti-unifier of those types, and the verdict can depend on which use
+    comes first: for the blob of (xs, xs), Pair(String, List(Int)) is
+    rejected but Pair(List(Int), String) is accepted, because the
+    second use generalizes the node's pattern to no constraint.
+    deserialize refuses both, since materialize checks every use.
     """
     st = ConvertState(graph=g)
     try:
@@ -681,24 +682,27 @@ def convert(
 # ---------------------------------------------------------------------------
 # Materializing values from graphs
 
-_IN_PROGRESS = object()
-
 
 class _Materializer:
     def __init__(self, g: ValueGraph):
         self.graph = g
         self.memo: dict[tuple[int, TypeRep], Any] = {}
+        # Nodes whose own fields are being built. Keyed by node alone:
+        # a cycle can present its node at ever-new types, so a
+        # (node, type) marker might never be met again.
+        self.building: set[int] = set()
 
     def go(self, p: TypeRep, n: int, path: str) -> Any:
         key = (n, p)
         if key in self.memo:
-            v = self.memo[key]
-            if v is _IN_PROGRESS:
-                raise CyclicValue(f"at {path}: cyclic graph has no value form")
-            return v
-        self.memo[key] = _IN_PROGRESS
+            return self.memo[key]
+        if n in self.building:
+            raise CyclicValue(f"at {path}: cyclic graph has no value form")
         v = self._node(p, n, path)
         self.memo[key] = v
+        # _node marked n before building n's fields. No enclosing call
+        # is building n, or the check above had raised.
+        self.building.discard(n)
         return v
 
     def _node(self, p: TypeRep, n: int, path: str) -> Any:
@@ -722,6 +726,7 @@ class _Materializer:
             # A conversion in progress reserved this slot; the cycle it
             # belongs to has no finished value to validate against.
             raise CyclicValue(f"at {path}: cyclic graph has no value form")
+        self.building.add(n)
         found = node_kind(node)
         if isinstance(dd, d.ScalarDesc):
             if dd.kind == "int":
@@ -819,6 +824,8 @@ def materialize(
 
     Shared nodes come back as shared objects. Cyclic graphs raise
     CyclicValue: the value layer is immutable and cannot tie knots.
+    Every node is checked at each type it is used at, so the graph
+    need not have passed check_compat first.
     """
     m = _Materializer(g)
     try:
@@ -841,217 +848,17 @@ def serialize(t: TypeRep, v: Any) -> bytes:
 def deserialize(t: TypeRep, data: bytes) -> Any:
     """Decode, check against t, and rebuild a value.
 
+    One path: check_compat runs over the decoded graph, then materialize
+    builds the value from that same graph, checking each node again at
+    every type it is used at. So a shared node that the checker's join
+    lets through at two clashing types is still refused here.
+
     Malformed bytes raise MalformedBytes with an offset; structurally
     valid graphs of the wrong shape raise Incompatible with a path; a
     representation an abstract type refuses raises
-    RepresentationRejected. No input crashes the process.
+    RepresentationRejected; a cyclic graph raises CyclicValue. No input
+    crashes the process.
     """
     g = decode_graph(data)
-    out, out_root, _ = convert(Direction.FROM, t, g)
-    return materialize(t, out, out_root)
-
-
-# ---------------------------------------------------------------------------
-# Alternative checking strategies
-#
-# The recursive checker above visits nodes in value order, revisiting a
-# node whenever its pattern generalizes. When the graph is acyclic it
-# can instead be checked in topological order, parents first, so every
-# node is examined exactly once at its final anti-unified pattern.
-
-
-def _reachable(g: ValueGraph, root: int) -> list[int]:
-    seen = {root}
-    stack = [root]
-    order = []
-    while stack:
-        n = stack.pop()
-        order.append(n)
-        for m in node_refs(g.nodes[n]):
-            if m not in seen:
-                seen.add(m)
-                stack.append(m)
-    return order
-
-
-def _topo_order(g: ValueGraph, root: int) -> list[int]:
-    """Parents-first order of the subgraph at root; cycles refused."""
-    reach = _reachable(g, root)
-    indeg: Counter = Counter()
-    for n in reach:
-        for m in node_refs(g.nodes[n]):
-            indeg[m] += 1
-    queue = [n for n in reach if indeg[n] == 0]
-    order = []
-    while queue:
-        n = queue.pop()
-        order.append(n)
-        for m in node_refs(g.nodes[n]):
-            indeg[m] -= 1
-            if indeg[m] == 0:
-                queue.append(m)
-    if len(order) != len(reach):
-        raise CyclicValue("topological checking requires an acyclic graph")
-    return order
-
-
-def check_compat_topo(
-    t: TypeRep, g: ValueGraph, root: Optional[int] = None
-) -> Counter:
-    """Check an acyclic graph parents-first, one examination per node.
-
-    Patterns flow from parents to children and are anti-unified before
-    a child is examined, so no node is ever re-checked. Returns the
-    per-node visit counts (all ones, by construction). May accept
-    graphs the value-order checker rejects: when one parent constrains
-    a shared node more tightly than another, value order can fail on
-    the tight pattern before the generalizing parent is reached, while
-    this order always examines the node at the join.
-    """
-    start = g.root if root is None else root
-    order = _topo_order(g, start)
-    patterns: dict[int, TypePattern] = {start: _normalize_pattern(t)}
-    visits: Counter = Counter()
-
-    def collect(m: int, fp: TypePattern, _fpath: str) -> None:
-        fp = _normalize_pattern(fp)
-        old = patterns.get(m)
-        patterns[m] = fp if old is None else anti_unify(old, fp)
-
-    for n in order:
-        p = patterns.get(n, ANY)
-        visits[n] += 1
-        if p is ANY:
-            continue
-        _match_node(g, n, p, f"node {n}", collect)
-    return visits
-
-
-def check_compat_scc(
-    t: TypeRep, g: ValueGraph, root: Optional[int] = None
-) -> ConvertState:
-    """Check any graph with patterns pre-joined per strongly connected
-    component, so each node is examined once, at its final pattern.
-
-    A first pass propagates patterns through the condensation of the
-    graph (tolerating mismatches, which the second pass will report)
-    until each node's anti-unifier stabilizes. The second pass runs the
-    structural rules once per node at that pattern. Verdicts agree with
-    check_compat on graphs built from values.
-    """
-    start = g.root if root is None else root
-    sccs = _tarjan(g, start)
-    comp_of: dict[int, int] = {}
-    for ci, comp in enumerate(sccs):
-        for n in comp:
-            comp_of[n] = ci
-
-    patterns: dict[int, TypePattern] = {}
-
-    def join(m: int, fp: TypePattern) -> bool:
-        fp = _normalize_pattern(fp)
-        old = patterns.get(m)
-        new = fp if old is None else anti_unify(old, fp)
-        if new != old:
-            patterns[m] = new
-            return True
-        return False
-
-    join(start, t)
-    # Tarjan emits components children-first; walk them parents-first.
-    for comp in reversed(sccs):
-        work = [n for n in comp if n in patterns]
-        while work:
-            n = work.pop()
-            p = patterns.get(n, ANY)
-            if p is ANY:
-                continue
-            sends: list[tuple[int, TypePattern]] = []
-
-            def collect(m: int, fp: TypePattern, _fpath: str) -> None:
-                sends.append((m, fp))
-
-            try:
-                _match_node(g, n, p, f"node {n}", collect)
-            except ReflectixError:
-                continue  # pass two reports it
-            for m, fp in sends:
-                if join(m, fp) and comp_of.get(m) == comp_of[n]:
-                    work.append(m)
-
-    st = ConvertState(graph=g)
-    st.visited = dict(patterns)
-    examined = set()
-
-    def check_field(m: int, fp: TypePattern, fpath: str) -> None:
-        # Pass one already joined this pattern into the node's own
-        # entry; nothing to do here.
-        return None
-
-    try:
-        for n in _reachable(g, start):
-            p = patterns.get(n, ANY)
-            if p is ANY or n in examined:
-                continue
-            examined.add(n)
-            st.descents[n] += 1
-            _match_node(g, n, p, f"node {n}", check_field)
-    except RecursionError:
-        raise DepthLimitExceeded("graph nests too deeply to check") from None
-    return st
-
-
-def _tarjan(g: ValueGraph, root: int) -> list[list[int]]:
-    """Strongly connected components reachable from root, emitted in
-    reverse topological order (children before parents). Iterative."""
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    on_stack: set[int] = set()
-    stack: list[int] = []
-    out: list[list[int]] = []
-    counter = [0]
-
-    work: list[tuple[int, int]] = [(root, 0)]
-    call: list[int] = []
-
-    def push(n: int) -> None:
-        index[n] = low[n] = counter[0]
-        counter[0] += 1
-        stack.append(n)
-        on_stack.add(n)
-
-    while work:
-        n, pi = work.pop()
-        if pi == 0:
-            if n in index:
-                continue
-            push(n)
-            call.append(n)
-        refs = node_refs(g.nodes[n])
-        advanced = False
-        for j in range(pi, len(refs)):
-            m = refs[j]
-            if m not in index:
-                work.append((n, j + 1))
-                work.append((m, 0))
-                advanced = True
-                break
-            if m in on_stack:
-                low[n] = min(low[n], index[m])
-        if advanced:
-            continue
-        if low[n] == index[n]:
-            comp = []
-            while True:
-                m = stack.pop()
-                on_stack.discard(m)
-                comp.append(m)
-                if m == n:
-                    break
-            out.append(comp)
-        if call and call[-1] == n:
-            call.pop()
-        if call:
-            parent = call[-1]
-            low[parent] = min(low[parent], low[n])
-    return out
+    check_compat(t, g)
+    return materialize(t, g)

@@ -1,10 +1,13 @@
 """Command line contract: outputs and the exit code table."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import reflectix
 from reflectix import cli, safeser
 from reflectix.typerep import Int, List
 
@@ -204,12 +207,21 @@ def test_usage_errors_are_exit_1(capsys, list_blob):
         assert e.value.code == 1, argv
 
 
+def _child_env():
+    # The child interpreter imports reflectix from where this one did,
+    # whether or not PYTHONPATH was set for the test run.
+    src = str(Path(reflectix.__file__).resolve().parent.parent)
+    paths = [src, os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+
+
 def test_module_entry_point(tmp_path, list_blob):
     proc = subprocess.run(
         [sys.executable, "-m", "reflectix", "validate", "--type",
          "List(Int)", list_blob],
         capture_output=True,
         text=True,
+        env=_child_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout == "compatible\n"
@@ -218,5 +230,6 @@ def test_module_entry_point(tmp_path, list_blob):
          "List(String)", list_blob],
         capture_output=True,
         text=True,
+        env=_child_env(),
     )
     assert proc.returncode == 3

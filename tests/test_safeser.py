@@ -29,7 +29,6 @@ from reflectix.errors import (
 )
 from reflectix.exprlang import Add, Cst, Expr, Var, parse_expr
 from reflectix.typerep import (
-    ANY,
     Array,
     Bool,
     Char,
@@ -271,6 +270,20 @@ def test_cyclic_list_checks_but_never_materializes():
         ss.deserialize(List(Int), ss.encode_graph(graph))
 
 
+def test_cyclic_polymorphic_field_refused_at_once():
+    # Node 0's PolyTree(Pair(a, a)) field loops back to node 0. The
+    # checker accepts the loop at PolyTree(_); materializing must not
+    # follow it at ever larger Pair^k(Int) types.
+    graph = ss.ValueGraph([ss.Block(1, (1, 0)), ss.Block(0, (2,)), ss.Imm(3)], 0)
+    data = ss.encode_graph(graph)
+    assert len(data) == 51
+    ss.check_compat(pl.PolyTree(Int), graph)
+    with pytest.raises(CyclicValue):
+        ss.materialize(pl.PolyTree(Int), graph)
+    with pytest.raises(CyclicValue):
+        ss.deserialize(pl.PolyTree(Int), data)
+
+
 def test_cyclic_polymorphic_recursion_terminates():
     # The node is its own child at PolyTree(a) and PolyTree(Pair(a, a)),
     # so each revisit generalizes the pattern until it stabilizes.
@@ -282,21 +295,8 @@ def test_cyclic_polymorphic_recursion_terminates():
     assert all(st.updates[n] <= st.first_size[n] for n in st.updates)
 
 
-def test_cyclic_check_via_scc_examines_once():
-    graph = ss.ValueGraph([ss.Block(1, (0, 0))], 0)
-    st = ss.check_compat_scc(pl.PolyTree(Int), graph)
-    assert st.descents == {0: 1}
-    assert st.visited[0] == pl.PolyTree(ANY)
-
-
-def test_topo_checker_refuses_cycles():
-    graph = ss.ValueGraph([ss.Block(0, (1, 0)), ss.Imm(5)], 0)
-    with pytest.raises(CyclicValue):
-        ss.check_compat_topo(List(Int), graph)
-
-
 # ---------------------------------------------------------------------------
-# Checker agreement
+# Checker and materializer agreement
 
 
 def _verdict(fn, *args):
@@ -328,40 +328,34 @@ def _mutations(graph):
                 yield ss.ValueGraph(nodes, graph.root)
 
 
-def test_checkers_agree_on_value_graphs_and_mutations():
+def test_checker_and_materializer_agree_on_value_graphs_and_mutations():
+    # materialize gets the mutated graph unchecked, so it must refuse by
+    # itself whatever the checker refuses, with the same error class.
     rng = random.Random(33)
     for t, gen in SERIALIZABLE_GENERATORS:
         for _ in range(6):
             graph = ss.build_graph(t, gen(rng, 3))
             assert _verdict(ss.check_compat, t, graph) is None
-            assert _verdict(ss.check_compat_scc, t, graph) is None
-            assert _verdict(ss.check_compat_topo, t, graph) is None
+            assert _verdict(ss.materialize, t, graph) is None
             for mutated in _mutations(graph):
                 base = _verdict(ss.check_compat, t, mutated)
-                assert _verdict(ss.check_compat_scc, t, mutated) == base
-                assert _verdict(ss.check_compat_topo, t, mutated) == base
-
-
-def test_topo_visits_every_node_once():
-    rng = random.Random(34)
-    for t, gen in SERIALIZABLE_GENERATORS:
-        for _ in range(10):
-            graph = ss.build_graph(t, gen(rng, 3))
-            visits = ss.check_compat_topo(t, graph)
-            assert set(visits) == set(range(len(graph.nodes)))
-            assert all(c == 1 for c in visits.values())
+                assert _verdict(ss.materialize, t, mutated) == base
+                data = ss.encode_graph(mutated)
+                assert _verdict(ss.deserialize, t, data) == base
 
 
 def test_join_order_leniency_is_confined_to_shared_misuse():
     # One parent wants a text node, the other a list, from the same
-    # shared child. Value order fails on the first tight pattern; the
-    # join-first checkers generalize to no constraint and accept.
+    # shared child. The checker's verdict depends on which use comes
+    # first; deserialize materializes every use and refuses both orders.
     xs = [1, 2]
     graph = ss.build_graph(Pair(List(Int), List(Int)), (xs, xs))
     bad = Pair(String, List(Int))
     assert _verdict(ss.check_compat, bad, graph) is Incompatible
-    assert _verdict(ss.check_compat_topo, bad, graph) is None
-    assert _verdict(ss.check_compat_scc, bad, graph) is None
+    assert _verdict(ss.check_compat, Pair(List(Int), String), graph) is None
+    data = ss.encode_graph(graph)
+    for t in (bad, Pair(List(Int), String)):
+        assert _verdict(ss.deserialize, t, data) is Incompatible
 
 
 # ---------------------------------------------------------------------------
@@ -622,11 +616,3 @@ def test_deep_graph_hits_depth_limit_in_recursive_paths():
         ss.check_compat(List(Int), graph)
     with pytest.raises(DepthLimitExceeded):
         ss.deserialize(List(Int), data)
-
-
-def test_deep_graph_passes_iterative_checkers():
-    graph = _chain_graph(30_000)
-    visits = ss.check_compat_topo(List(Int), graph)
-    assert all(c == 1 for c in visits.values())
-    st = ss.check_compat_scc(List(Int), graph)
-    assert max(st.descents.values()) == 1
