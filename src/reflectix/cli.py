@@ -24,6 +24,7 @@ from typing import Any, Optional
 
 from . import exprlang, safeser
 from .errors import (
+    CyclicValue,
     Incompatible,
     MalformedBytes,
     NoDescriptor,
@@ -108,11 +109,13 @@ def cmd_inspect(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
+    # The verdict is deserialize's, so "compatible" means the blob reads
+    # back as a value of the type.
     t = parse_type(args.type_text)
-    g = safeser.decode_graph(_read_bytes(args.file))
+    data = _read_bytes(args.file)
     try:
-        safeser.check_compat(t, g)
-    except Incompatible as e:
+        safeser.deserialize(t, data)
+    except (Incompatible, CyclicValue) as e:
         print(f"incompatible: {e}")
         return EXIT_INCOMPATIBLE
     print("compatible")

@@ -358,19 +358,6 @@ def register(witness: Any, builder: DescBuilder) -> None:
     _desc_fun.extend(_wildcard_rep(head), lambda t: builder(*t.args))
 
 
-# The category-specific registrars only document intent; they all store
-# a builder the same way.
-register_scalar = register
-register_variant = register
-register_record = register
-register_product = register
-register_arraylike = register
-register_synonym = register
-register_abstract = register
-register_opaque = register
-register_extensible = register
-
-
 def view_desc(t: TypePattern) -> Desc:
     """The registered descriptor of t; NO_DESC when none exists."""
     if t is ANY or not _desc_fun.supports(t):

@@ -74,7 +74,7 @@ class Let:
     body: Any
 
 
-d.register_variant(
+d.register(
     Expr,
     lambda: d.VariantDesc(
         "Expr",

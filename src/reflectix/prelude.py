@@ -35,9 +35,9 @@ from .typerep import (
 # ---------------------------------------------------------------------------
 # Scalars
 
-d.register_scalar(Int, lambda: d.ScalarDesc("Int", "int"))
-d.register_scalar(Float, lambda: d.ScalarDesc("Float", "float"))
-d.register_scalar(Char, lambda: d.ScalarDesc("Char", "char"))
+d.register(Int, lambda: d.ScalarDesc("Int", "int"))
+d.register(Float, lambda: d.ScalarDesc("Float", "float"))
+d.register(Char, lambda: d.ScalarDesc("Char", "char"))
 
 # Functions carry no structure worth describing.
 d.register(Fun, lambda a, b: d.NO_DESC)
@@ -52,7 +52,7 @@ def _classify_bool(x: Any) -> tuple[str, int]:
     return ("cst", 1 if x else 0)
 
 
-d.register_variant(
+d.register(
     Bool,
     lambda: d.VariantDesc(
         "Bool",
@@ -68,7 +68,7 @@ d.register_variant(
 # ---------------------------------------------------------------------------
 # Unit and pairs: bare products.
 
-d.register_product(
+d.register(
     Unit,
     lambda: d.ProductDesc(
         d.ProductShape(()),
@@ -85,7 +85,7 @@ def _pair_desc(a: Any, b: Any) -> d.ProductDesc:
     )
 
 
-d.register_product(Pair, _pair_desc)
+d.register(Pair, _pair_desc)
 
 # ---------------------------------------------------------------------------
 # Lists: Python lists viewed as nil/cons cells.
@@ -126,7 +126,7 @@ def _list_desc(a: Any) -> d.VariantDesc:
     )
 
 
-d.register_variant(List, _list_desc)
+d.register(List, _list_desc)
 
 # ---------------------------------------------------------------------------
 # Strings and arrays
@@ -136,7 +136,7 @@ def _string_init(n: int, f: Any) -> str:
     return "".join(f(i) for i in range(n))
 
 
-d.register_arraylike(
+d.register(
     String,
     lambda: d.ArrayLikeDesc(
         Char,
@@ -169,7 +169,7 @@ def _array_desc(a: Any) -> d.ArrayLikeDesc:
     )
 
 
-d.register_arraylike(Array, _array_desc)
+d.register(Array, _array_desc)
 
 # ---------------------------------------------------------------------------
 # Binary trees
@@ -219,7 +219,7 @@ def _btree_desc(a: Any) -> d.VariantDesc:
     )
 
 
-d.register_variant(Btree, _btree_desc)
+d.register(Btree, _btree_desc)
 
 # ---------------------------------------------------------------------------
 # Rose trees: a record with a mutable attribute and a list of children.
@@ -251,14 +251,14 @@ def _rtree_desc(a: Any) -> d.RecordDesc:
     )
 
 
-d.register_record(Rtree, _rtree_desc)
+d.register(Rtree, _rtree_desc)
 
 # ---------------------------------------------------------------------------
 # Naturals: abstract with a public Int representation that rejects
 # negatives, plus an internal synonym view of the same idea.
 
 Nat = declare("Nat")
-d.register_abstract(Nat, lambda: d.AbstractDesc("Nat", ("demo",)))
+d.register(Nat, lambda: d.AbstractDesc("Nat", ("demo",)))
 d.register_repr(
     Nat,
     lambda: d.Representation(
@@ -269,7 +269,7 @@ d.register_repr(
 )
 
 NatInternal = declare("NatInternal")
-d.register_synonym(
+d.register(
     NatInternal,
     lambda: d.SynonymDesc(Int, d.EqualityWitness(NatInternal, Int)),
 )
@@ -311,14 +311,14 @@ def _polytree_desc(a: Any) -> d.VariantDesc:
     )
 
 
-d.register_variant(PolyTree, _polytree_desc)
+d.register(PolyTree, _polytree_desc)
 
 # ---------------------------------------------------------------------------
 # An extensible error type; constructors may be added at any time.
 
 Exn = declare("Exn")
 exn_desc = d.ext_create("Exn", ("demo",))
-d.register_extensible(Exn, lambda: exn_desc)
+d.register(Exn, lambda: exn_desc)
 
 FAILURE = d.ext_constructor("Failure", (String,))
 NOT_FOUND = d.ext_constructor("NotFound", ())

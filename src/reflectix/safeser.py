@@ -10,6 +10,11 @@ Deserialization never trusts its input, and takes one path: decode the
 bytes into a graph, check the graph against the expected type, then
 materialize the value from that same graph.
 
+One set of rules says what a node must look like at a type: its kind,
+tag and arity, the character range, UTF-8 text, array length, and
+extensible constructor names. _match_node states them once, and two
+walks apply them.
+
 The checker walks nodes with type patterns, generalizing a node's
 recorded pattern by anti-unification whenever it is reached again at a
 different type. A node is re-examined only when its pattern strictly
@@ -17,17 +22,16 @@ generalized, which bounds work per node by the size of the first
 pattern it was seen at, so checking terminates even on cyclic graphs
 presenting a node at ever-changing types.
 
-The materializer re-checks every use of a node at the concrete type of
-that use, so it is safe on a graph nobody checked. It refuses cycles
-(the value layer cannot tie knots) by noticing when it reaches a node
-whose own fields it is still building.
+The materializer applies the rules at the concrete type of every use
+of a node and builds the value, so it is safe on a graph nobody
+checked. It refuses cycles (the value layer cannot tie knots) by
+noticing when it reaches a node whose own fields it is still building.
 """
-
 from __future__ import annotations
 
 import struct
 from collections import Counter
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from enum import Enum
 from typing import Any, Callable, Optional
 
@@ -393,196 +397,124 @@ class Direction(Enum):
 
 @dataclass
 class ConvertState:
-    """Bookkeeping for one checking or converting walk."""
+    """Bookkeeping for one checking walk: each node's joined pattern,
+    the (node, pattern) pairs already answered, and work counters."""
 
     graph: ValueGraph
-    direction: Optional[Direction] = None
-    out_nodes: Optional[list] = None
     visited: dict = dc_field(default_factory=dict)
-    memo: dict = dc_field(default_factory=dict)
-    pending: dict = dc_field(default_factory=dict)
+    memo: set = dc_field(default_factory=set)
     descents: Counter = dc_field(default_factory=Counter)
     updates: Counter = dc_field(default_factory=Counter)
     first_size: dict = dc_field(default_factory=dict)
 
-    @property
-    def emitting(self) -> bool:
-        return self.out_nodes is not None
 
-
-def _resolve_synonyms(p: TypeRep) -> TypeRep:
+def _resolve(
+    p: TypeRep, path: str
+) -> tuple[TypeRep, d.Desc, Optional[d.Representation]]:
+    """Follow synonyms from p; return the type reached, its descriptor,
+    and its public representation if it is abstract or opaque."""
     for _ in range(64):
         dd = d.view_desc(p)
         if isinstance(dd, d.SynonymDesc):
             p = dd.target
             continue
-        return p
+        if dd is d.NO_DESC:
+            raise NoDescriptor(f"at {path}: no descriptor for {render(p)}")
+        if not isinstance(dd, (d.AbstractDesc, d.OpaqueDesc)):
+            return p, dd, None
+        rep = d.try_repr(p)
+        if rep is None:
+            raise NoDescriptor(f"at {path}: {render(p)} has no public representation")
+        return p, dd, rep
     raise NoDescriptor(f"synonym chain too long at {render(p)}")
 
 
-def _ensure(st: ConvertState, n: int, p: TypePattern, path: str) -> Optional[int]:
-    if p is ANY:
-        return _copy_verbatim(st, n) if st.emitting else None
+def _ensure(st: ConvertState, n: int, p: TypePattern, path: str) -> None:
     key = (n, p)
-    if key in st.memo:
-        return st.memo[key]
-    if key in st.pending:
-        return st.pending[key]
-    p2 = _resolve_synonyms(p)
-    dd = d.view_desc(p2)
-    if isinstance(dd, (d.AbstractDesc, d.OpaqueDesc)):
-        rep = d.try_repr(p2)
-        if rep is None:
-            raise NoDescriptor(
-                f"at {path}: {render(p2)} has no public representation"
-            )
-        out = _ensure(st, n, rep.repr_ty, path)
-        if st.emitting and st.direction is Direction.FROM:
-            # Rebuild the representation value and let the abstract
-            # type's validator pass judgement on it.
-            value = materialize(
-                rep.repr_ty, ValueGraph(st.out_nodes, out), out, path=path
-            )
-            if rep.from_repr(value) is None:
-                raise RepresentationRejected(path)
-        st.memo[key] = out
-        return out
-    if p2 is not p:
-        out = _ensure(st, n, p2, path)
-        st.memo[key] = out
-        return out
-
+    if p is ANY or key in st.memo:
+        return
+    st.memo.add(key)
+    p2, dd, rep = _resolve(p, path)
+    if rep is not None:
+        _ensure(st, n, rep.repr_ty, path)
+        return
     q = st.visited.get(n)
-    if q is not None:
-        g = anti_unify(q, p)
+    if q is None:
+        st.first_size[n] = pattern_size(p2)
+    else:
+        g = anti_unify(q, p2)
         if g == q:
-            out = None
-            if st.emitting:
-                kq = (n, q)
-                if kq in st.memo:
-                    out = st.memo[kq]
-                elif kq in st.pending:
-                    out = st.pending[kq]
-                else:  # pragma: no cover - every visited entry has a slot
-                    out = _examine(st, n, q, path)
-            st.memo[key] = out
-            return out
-        st.visited[n] = g
+            return
         st.updates[n] += 1
         if g is ANY:
             # The join of the patterns this node is used at constrains
             # nothing; any well-formed node passes.
-            return _copy_verbatim(st, n) if st.emitting else None
-        return _examine(st, n, g, path)
-    st.visited[n] = p
-    st.first_size[n] = pattern_size(p)
-    return _examine(st, n, p, path)
-
-
-def _examine(st: ConvertState, n: int, p: TypePattern, path: str) -> Optional[int]:
-    """Structurally check node n against concrete pattern p."""
+            st.visited[n] = g
+            return
+        if g != p2:
+            p2, dd = g, d.view_desc(g)
+    st.visited[n] = p2
+    if p2 is not p:
+        st.memo.add((n, p2))
     st.descents[n] += 1
-    out_idx: Optional[int] = None
-    if st.emitting:
-        out_idx = len(st.out_nodes)
-        st.out_nodes.append(None)
-    # Checking without emitting records its keys too, so _ensure answers
-    # a revisit at an already covered pattern without resolving and
-    # joining again.
-    st.pending[(n, p)] = out_idx
-    refs: list[int] = []
-
-    def on_field(m: int, fp: TypePattern, fpath: str) -> None:
-        refs.append(_ensure(st, n=m, p=fp, path=fpath))
-
-    template = _match_node(st.graph, n, p, path, on_field)
-    if st.emitting:
-        st.out_nodes[out_idx] = _fill_template(template, refs)
-    del st.pending[(n, p)]
-    st.memo[(n, p)] = out_idx
-    return out_idx
+    fields, _ = _match_node(st.graph, n, p2, dd, path)
+    for i, (m, fp) in enumerate(fields):
+        _ensure(st, m, fp, f"{path}.{i}")
 
 
-def _fill_template(template: tuple, refs: list) -> ValueNode:
-    kind = template[0]
-    if kind == "imm":
-        return Imm(template[1])
-    if kind == "float":
-        return Float(template[1])
-    if kind == "bytes":
-        return Bytes(template[1])
-    if kind == "block":
-        return Block(template[1], tuple(refs))
-    if kind == "extcon":
-        return ExtCon(template[1], tuple(refs))
-    raise MalformedValue(f"unknown template {template!r}")  # pragma: no cover
-
-
-def _copy_verbatim(st: ConvertState, n: int) -> int:
-    """Copy the subgraph at n unchanged, preserving sharing and cycles."""
-    key = (n, ANY)
-    if key in st.memo:
-        return st.memo[key]
-    if key in st.pending:
-        return st.pending[key]
-    out_idx = len(st.out_nodes)
-    st.out_nodes.append(None)
-    st.pending[key] = out_idx
-    node = st.graph.nodes[n]
-    if isinstance(node, (Imm, Bytes, Float)):
-        st.out_nodes[out_idx] = node
-    elif isinstance(node, Block):
-        st.out_nodes[out_idx] = Block(
-            node.tag, tuple(_copy_verbatim(st, m) for m in node.fields)
+def _arity(path: str, con: d.Constructor, node: ValueNode, what: str) -> None:
+    if len(node.fields) != con.arity:
+        raise Incompatible(
+            path, f"{con.name} with {con.arity} fields", f"{what} {len(node.fields)}"
         )
-    else:
-        st.out_nodes[out_idx] = ExtCon(
-            node.name, tuple(_copy_verbatim(st, m) for m in node.fields)
-        )
-    del st.pending[key]
-    st.memo[key] = out_idx
-    return out_idx
 
 
 def _match_node(
-    graph: ValueGraph,
-    n: int,
-    p: TypeRep,
-    path: str,
-    on_field: Callable[[int, TypePattern, str], None],
-) -> tuple:
-    """Check one node against one concrete pattern.
+    graph: ValueGraph, n: int, p: TypePattern, dd: d.Desc, path: str
+) -> tuple[list, Callable[[list], Any]]:
+    """The structural rules: what node n must look like at pattern p.
 
-    These are the checker's structural rules; the materializer applies
-    the same rules again while it builds each value. Every field
-    constraint goes to on_field after the node itself has passed.
-    Returns a template describing the node for conversion output.
+    dd is p's descriptor, already resolved past synonyms and abstract
+    types. Raises Incompatible, NoDescriptor or UnknownConstructor when
+    the node itself does not fit. Otherwise returns the node's fields,
+    as (node, pattern) pairs each field must match in turn, and make,
+    which builds the node's value from the values of those fields.
+    The checker walks the fields; the materializer also calls make.
     """
     node = graph.nodes[n]
-    found = node_kind(node)
-    dd = d.view_desc(p)
-    if dd is d.NO_DESC:
-        raise NoDescriptor(f"at {path}: no descriptor for {render(p)}")
     if isinstance(dd, d.ScalarDesc):
         if dd.kind in ("int", "char"):
             if not isinstance(node, Imm):
-                raise Incompatible(path, render(p), found)
-            if dd.kind == "char" and not 0 <= node.value <= 0x10FFFF:
-                raise Incompatible(path, "character code", f"Imm {node.value}")
-            return ("imm", node.value)
+                raise Incompatible(path, render(p), node_kind(node))
+            value = node.value
+            if dd.kind == "char":
+                if not 0 <= value <= 0x10FFFF:
+                    raise Incompatible(path, "character code", f"Imm {value}")
+                return [], lambda _: chr(value)
+            return [], lambda _: value
         if not isinstance(node, Float):
-            raise Incompatible(path, render(p), found)
-        return ("float", node.value)
+            raise Incompatible(path, render(p), node_kind(node))
+        return [], lambda _: node.value
     if isinstance(dd, d.ArrayLikeDesc):
         if dd.bytes_like:
             if not isinstance(node, Bytes):
-                raise Incompatible(path, render(p), found)
-            return ("bytes", node.data)
+                raise Incompatible(path, render(p), node_kind(node))
+            try:
+                text = node.data.decode("utf-8")
+            except UnicodeDecodeError:
+                raise Incompatible(path, "UTF-8 text", "undecodable bytes") from None
+            return [], lambda _: text
         if not isinstance(node, Block) or node.tag != 0:
-            raise Incompatible(path, render(p), found)
-        for i, m in enumerate(node.fields):
-            on_field(m, dd.elem, f"{path}.{i}")
-        return ("block", 0)
+            raise Incompatible(path, render(p), node_kind(node))
+        ops = dd.ops
+        if len(node.fields) > ops.max_length:
+            raise Incompatible(
+                path,
+                f"at most {ops.max_length} elements",
+                f"{len(node.fields)} elements",
+            )
+        fields = [(m, dd.elem) for m in node.fields]
+        return fields, lambda vs: ops.init(len(vs), vs.__getitem__)
     if isinstance(dd, d.VariantDesc):
         if isinstance(node, Imm):
             if not 0 <= node.value < dd.cst_len:
@@ -591,67 +523,56 @@ def _match_node(
                     f"{render(p)} constant tag below {dd.cst_len}",
                     f"Imm {node.value}",
                 )
-            return ("imm", node.value)
-        if isinstance(node, Block):
-            if node.tag >= dd.ncst_len:
-                raise Incompatible(
-                    path,
-                    f"{render(p)} block tag below {dd.ncst_len}",
-                    f"Block tag {node.tag}",
-                )
-            con = dd.ncst_get(node.tag)
-            if len(node.fields) != con.arity:
-                raise Incompatible(
-                    path,
-                    f"{con.name} with {con.arity} fields",
-                    f"Block arity {len(node.fields)}",
-                )
-            for i, (m, f) in enumerate(zip(node.fields, con.fields)):
-                on_field(m, f.ty, f"{path}.{i}")
-            return ("block", node.tag)
-        raise Incompatible(path, render(p), found)
-    if isinstance(dd, (d.RecordDesc, d.ProductDesc)):
-        shape = dd.shape
+            con = dd.cst_get(node.value)
+            return [], lambda _: con.embed(())
+        if not isinstance(node, Block):
+            raise Incompatible(path, render(p), node_kind(node))
+        if node.tag >= dd.ncst_len:
+            raise Incompatible(
+                path,
+                f"{render(p)} block tag below {dd.ncst_len}",
+                f"Block tag {node.tag}",
+            )
+        con = dd.ncst_get(node.tag)
+        _arity(path, con, node, "Block arity")
+    elif isinstance(dd, (d.RecordDesc, d.ProductDesc)):
+        shape, iso = dd.shape, dd.iso
         if not isinstance(node, Block) or node.tag != 0:
-            raise Incompatible(path, render(p), found)
+            raise Incompatible(path, render(p), node_kind(node))
         if len(node.fields) != len(shape.reps):
             raise Incompatible(
                 path,
                 f"{render(p)} with {len(shape.reps)} fields",
                 f"Block arity {len(node.fields)}",
             )
-        for i, (m, r) in enumerate(zip(node.fields, shape.reps)):
-            on_field(m, r, f"{path}.{i}")
-        return ("block", 0)
-    if isinstance(dd, d.ExtensibleDesc):
+        return list(zip(node.fields, shape.reps)), lambda vs: iso.fwd(shape.nest(vs))
+    elif isinstance(dd, d.ExtensibleDesc):
         if not isinstance(node, ExtCon):
-            raise Incompatible(path, render(p), found)
+            raise Incompatible(path, render(p), node_kind(node))
         con = d.ext_find(dd, node.name)
-        if len(node.fields) != con.arity:
-            raise Incompatible(
-                path,
-                f"{con.name} with {con.arity} fields",
-                f"constructor arity {len(node.fields)}",
-            )
-        for i, (m, f) in enumerate(zip(node.fields, con.fields)):
-            on_field(m, f.ty, f"{path}.{i}")
-        return ("extcon", node.name)
-    raise NoDescriptor(f"at {path}: no descriptor for {render(p)}")
+        _arity(path, con, node, "constructor arity")
+    else:
+        raise NoDescriptor(f"at {path}: no descriptor for {render(p)}")
+    fields = [(m, f.ty) for m, f in zip(node.fields, con.fields)]
+    return fields, lambda vs: con.embed(con.shape.nest(vs))
 
 
 def check_compat(t: TypeRep, g: ValueGraph, root: Optional[int] = None) -> ConvertState:
-    """Check that the subgraph at root fits type t.
+    """Check that the subgraph at root fits type t, building no value.
 
-    Raises Incompatible, NoDescriptor, or UnknownConstructor on
-    failure; returns the walk state, whose counters record descents
-    and pattern updates per node.
+    Applies _match_node's rules once per node and pattern. Raises
+    Incompatible, NoDescriptor, or UnknownConstructor on failure;
+    returns the walk state, whose counters record descents and pattern
+    updates per node.
 
     A node shared between uses at different types is checked at the
     anti-unifier of those types, and the verdict can depend on which use
     comes first: for the blob of (xs, xs), Pair(String, List(Int)) is
     rejected but Pair(List(Int), String) is accepted, because the
-    second use generalizes the node's pattern to no constraint.
-    deserialize refuses both, since materialize checks every use.
+    second use generalizes the node's pattern to no constraint. Nor does
+    the check refuse cycles or ask an abstract type to accept its
+    representation. deserialize refuses all of these, since materialize
+    applies the same rules at every use and builds each value.
     """
     st = ConvertState(graph=g)
     try:
@@ -664,19 +585,31 @@ def check_compat(t: TypeRep, g: ValueGraph, root: Optional[int] = None) -> Conve
 def convert(
     direction: Direction, t: TypeRep, g: ValueGraph, root: Optional[int] = None
 ) -> tuple[ValueGraph, int, ConvertState]:
-    """Check and rebuild the subgraph at root against type t.
+    """Check the subgraph at root against type t and copy it out.
 
-    The output graph mirrors the input's sharing; cycles come out as
-    references to slots reserved before their fields were walked. In
-    the From direction every abstract value's representation is
-    validated with from_repr, raising RepresentationRejected.
+    The To direction runs check_compat. The From direction also runs
+    materialize, so it refuses what deserialize refuses: a cycle raises
+    CyclicValue, a representation an abstract type refuses raises
+    RepresentationRejected. The copy holds the nodes reachable from
+    root, renumbered from 0 in breadth-first order, with sharing and
+    cycles kept; its root is 0.
     """
-    st = ConvertState(graph=g, direction=direction, out_nodes=[])
-    try:
-        out_root = _ensure(st, g.root if root is None else root, t, "root")
-    except RecursionError:
-        raise DepthLimitExceeded("graph nests too deeply to convert") from None
-    return ValueGraph(st.out_nodes, out_root), out_root, st
+    start = g.root if root is None else root
+    st = check_compat(t, g, start)
+    if direction is Direction.FROM:
+        materialize(t, g, start)
+    index = {start: 0}
+    order = [start]
+    for n in order:
+        for m in node_refs(g.nodes[n]):
+            if m not in index:
+                index[m] = len(order)
+                order.append(m)
+    nodes = [g.nodes[n] for n in order]
+    for i, x in enumerate(nodes):
+        if isinstance(x, (Block, ExtCon)):
+            nodes[i] = replace(x, fields=tuple(index[m] for m in x.fields))
+    return ValueGraph(nodes, 0), 0, st
 
 
 # ---------------------------------------------------------------------------
@@ -698,123 +631,22 @@ class _Materializer:
             return self.memo[key]
         if n in self.building:
             raise CyclicValue(f"at {path}: cyclic graph has no value form")
-        v = self._node(p, n, path)
-        self.memo[key] = v
-        # _node marked n before building n's fields. No enclosing call
-        # is building n, or the check above had raised.
-        self.building.discard(n)
-        return v
-
-    def _node(self, p: TypeRep, n: int, path: str) -> Any:
-        # Resolution mirrors the checker: synonyms are transparent,
-        # abstract types rebuild their representation and validate it.
-        p2 = _resolve_synonyms(p)
-        dd = d.view_desc(p2)
-        if isinstance(dd, (d.AbstractDesc, d.OpaqueDesc)):
-            rep = d.try_repr(p2)
-            if rep is None:
-                raise NoDescriptor(
-                    f"at {path}: {render(p2)} has no public representation"
-                )
-            raw = self.go(rep.repr_ty, n, path)
-            v = rep.from_repr(raw)
+        p2, dd, rep = _resolve(p, path)
+        if rep is not None:
+            # The representation is on the same node, not yet marked as
+            # building; rebuild it and let the abstract type judge it.
+            v = rep.from_repr(self.go(rep.repr_ty, n, path))
             if v is None:
                 raise RepresentationRejected(path)
-            return v
-        node = self.graph.nodes[n]
-        if node is None:
-            # A conversion in progress reserved this slot; the cycle it
-            # belongs to has no finished value to validate against.
-            raise CyclicValue(f"at {path}: cyclic graph has no value form")
-        self.building.add(n)
-        found = node_kind(node)
-        if isinstance(dd, d.ScalarDesc):
-            if dd.kind == "int":
-                if not isinstance(node, Imm):
-                    raise Incompatible(path, render(p2), found)
-                return node.value
-            if dd.kind == "char":
-                if not isinstance(node, Imm) or not 0 <= node.value <= 0x10FFFF:
-                    raise Incompatible(path, render(p2), found)
-                return chr(node.value)
-            if not isinstance(node, Float):
-                raise Incompatible(path, render(p2), found)
-            return node.value
-        if isinstance(dd, d.ArrayLikeDesc):
-            if dd.bytes_like:
-                if not isinstance(node, Bytes):
-                    raise Incompatible(path, render(p2), found)
-                try:
-                    return node.data.decode("utf-8")
-                except UnicodeDecodeError:
-                    raise Incompatible(
-                        path, "UTF-8 text", "undecodable bytes"
-                    ) from None
-            if not isinstance(node, Block) or node.tag != 0:
-                raise Incompatible(path, render(p2), found)
-            fields = node.fields
-            elems = [
-                self.go(dd.elem, m, f"{path}.{i}") for i, m in enumerate(fields)
-            ]
-            if len(elems) > dd.ops.max_length:
-                raise Incompatible(
-                    path,
-                    f"at most {dd.ops.max_length} elements",
-                    f"{len(elems)} elements",
-                )
-            return dd.ops.init(len(elems), lambda i: elems[i])
-        if isinstance(dd, d.VariantDesc):
-            if isinstance(node, Imm):
-                if not 0 <= node.value < dd.cst_len:
-                    raise Incompatible(
-                        path, render(p2), f"Imm {node.value}"
-                    )
-                return dd.cst_get(node.value).embed(())
-            if isinstance(node, Block) and node.tag < dd.ncst_len:
-                con = dd.ncst_get(node.tag)
-                if len(node.fields) != con.arity:
-                    raise Incompatible(
-                        path,
-                        f"{con.name} with {con.arity} fields",
-                        f"Block arity {len(node.fields)}",
-                    )
-                flat = [
-                    self.go(f.ty, m, f"{path}.{i}")
-                    for i, (m, f) in enumerate(zip(node.fields, con.fields))
-                ]
-                return con.embed(con.shape.nest(flat))
-            raise Incompatible(path, render(p2), found)
-        if isinstance(dd, (d.RecordDesc, d.ProductDesc)):
-            shape = dd.shape
-            if not isinstance(node, Block) or node.tag != 0:
-                raise Incompatible(path, render(p2), found)
-            if len(node.fields) != len(shape.reps):
-                raise Incompatible(
-                    path,
-                    f"{render(p2)} with {len(shape.reps)} fields",
-                    f"Block arity {len(node.fields)}",
-                )
-            flat = [
-                self.go(r, m, f"{path}.{i}")
-                for i, (m, r) in enumerate(zip(node.fields, shape.reps))
-            ]
-            return dd.iso.fwd(shape.nest(flat))
-        if isinstance(dd, d.ExtensibleDesc):
-            if not isinstance(node, ExtCon):
-                raise Incompatible(path, render(p2), found)
-            con = d.ext_find(dd, node.name)
-            if len(node.fields) != con.arity:
-                raise Incompatible(
-                    path,
-                    f"{con.name} with {con.arity} fields",
-                    f"constructor arity {len(node.fields)}",
-                )
-            flat = [
-                self.go(f.ty, m, f"{path}.{i}")
-                for i, (m, f) in enumerate(zip(node.fields, con.fields))
-            ]
-            return con.embed(con.shape.nest(flat))
-        raise NoDescriptor(f"at {path}: no descriptor for {render(p2)}")
+        else:
+            fields, make = _match_node(self.graph, n, p2, dd, path)
+            self.building.add(n)
+            v = make(
+                [self.go(fp, m, f"{path}.{i}") for i, (m, fp) in enumerate(fields)]
+            )
+            self.building.discard(n)
+        self.memo[key] = v
+        return v
 
 
 def materialize(
@@ -822,10 +654,12 @@ def materialize(
 ) -> Any:
     """Rebuild the library value the subgraph at root denotes.
 
-    Shared nodes come back as shared objects. Cyclic graphs raise
-    CyclicValue: the value layer is immutable and cannot tie knots.
-    Every node is checked at each type it is used at, so the graph
-    need not have passed check_compat first.
+    Applies _match_node's rules to every node at each type it is used
+    at, so the graph need not have passed check_compat first, and
+    validates each abstract value's representation with from_repr,
+    raising RepresentationRejected. Shared nodes come back as shared
+    objects. Cyclic graphs raise CyclicValue: the value layer is
+    immutable and cannot tie knots.
     """
     m = _Materializer(g)
     try:

@@ -9,7 +9,7 @@ import pytest
 
 import reflectix
 from reflectix import cli, safeser
-from reflectix.typerep import Int, List
+from reflectix.typerep import Int, List, Pair
 
 
 @pytest.fixture
@@ -74,11 +74,36 @@ def test_validate_arity_error_is_exit_4(capsys, list_blob):
     assert cli.main(["validate", "--type", "List", list_blob]) == 4
 
 
-def test_validate_accepts_cyclic_graph(capsys, tmp_path):
-    graph = safeser.ValueGraph([safeser.Block(0, (1, 0)), safeser.Imm(5)], 0)
-    p = tmp_path / "cyc.bin"
-    p.write_bytes(safeser.encode_graph(graph))
-    assert cli.main(["validate", "--type", "List(Int)", str(p)]) == 0
+def _graph_file(tmp_path, nodes):
+    p = tmp_path / "graph.bin"
+    p.write_bytes(safeser.encode_graph(safeser.ValueGraph(nodes, 0)))
+    return str(p)
+
+
+def test_validate_refuses_cyclic_graph(capsys, tmp_path):
+    f = _graph_file(tmp_path, [safeser.Block(0, (1, 0)), safeser.Imm(5)])
+    assert cli.main(["validate", "--type", "List(Int)", f]) == 3
+    assert capsys.readouterr().out.startswith("incompatible: ")
+
+
+def test_validate_refuses_shared_node_at_clashing_types(capsys, tmp_path):
+    # The checker's join lets the second, clashing use through;
+    # deserialize does not.
+    xs = [1, 2]
+    p = tmp_path / "shared.bin"
+    p.write_bytes(safeser.serialize(Pair(List(Int), List(Int)), (xs, xs)))
+    assert cli.main(["validate", "--type", "Pair(List(Int), String)", str(p)]) == 3
+
+
+def test_validate_refused_representation_is_exit_6(capsys, tmp_path):
+    f = _graph_file(tmp_path, [safeser.Imm(-1)])
+    assert cli.main(["validate", "--type", "Nat", f]) == 6
+    assert "rejected" in capsys.readouterr().err
+
+
+def test_validate_refuses_undecodable_text(capsys, tmp_path):
+    f = _graph_file(tmp_path, [safeser.Bytes(b"\xff")])
+    assert cli.main(["validate", "--type", "String", f]) == 3
 
 
 def test_malformed_bytes_is_exit_2(capsys, tmp_path, list_blob):

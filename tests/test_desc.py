@@ -177,7 +177,7 @@ def test_representation_is_a_retraction():
 
 def test_repr_of_missing_raises():
     T = declare("SealedDemo", 0, ("tests",))
-    d.register_abstract(T, lambda: d.AbstractDesc("SealedDemo", ("tests",)))
+    d.register(T, lambda: d.AbstractDesc("SealedDemo", ("tests",)))
     with pytest.raises(NoRepresentation):
         d.repr_of(T)
     assert d.try_repr(T) is None

@@ -268,6 +268,8 @@ def test_cyclic_list_checks_but_never_materializes():
         ss.materialize(List(Int), graph)
     with pytest.raises(CyclicValue):
         ss.deserialize(List(Int), ss.encode_graph(graph))
+    with pytest.raises(CyclicValue):
+        ss.convert(ss.Direction.FROM, List(Int), graph)
 
 
 def test_cyclic_polymorphic_field_refused_at_once():
@@ -312,6 +314,7 @@ def _mutations(graph):
         for repl in (
             ss.Imm(999),
             ss.Bytes(b"zz"),
+            ss.Bytes(b"\xff"),
             ss.Block(3, ()),
             ss.ExtCon("Nope", ()),
         ):
@@ -381,6 +384,8 @@ def test_nat_rejects_negative_payload():
         ss.Direction.TO, pl.Nat, ss.ValueGraph([ss.Imm(-1)], 0)
     )
     assert out.nodes == [ss.Imm(-1)]
+    with pytest.raises(RepresentationRejected):
+        ss.convert(ss.Direction.FROM, pl.Nat, ss.ValueGraph([ss.Imm(-1)], 0))
 
 
 def test_variant_tag_bounds():
