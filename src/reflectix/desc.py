@@ -17,7 +17,6 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
 
-from . import extfun
 from .errors import (
     ArityMismatch,
     DuplicateConstructor,
@@ -319,15 +318,12 @@ class Representation:
 
 
 # ---------------------------------------------------------------------------
-# Registration and lookup
-
-_desc_fun = extfun.create("desc")
-_repr_fun = extfun.create("representation")
-_registered: set[Head] = set()
-_registered_repr: set[Head] = set()
-_register_lock = threading.Lock()
+# Registration and lookup: two tables from a head to its builder.
 
 DescBuilder = Callable[..., Desc]
+_descs: dict[Head, DescBuilder] = {}
+_reprs: dict[Head, Callable[..., Representation]] = {}
+_register_lock = threading.Lock()
 
 
 def _head_of(witness: Any) -> Head:
@@ -340,41 +336,39 @@ def _head_of(witness: Any) -> Head:
     raise ArityMismatch(f"not a type witness: {witness!r}")
 
 
-def _wildcard_rep(head: Head) -> TypeRep:
-    return TypeRep(head, tuple(ANY for _ in range(head.arity)))
-
-
 def register(witness: Any, builder: DescBuilder) -> None:
     """Register a descriptor builder for a type head.
 
     The builder receives one argument representation per head parameter
-    and returns the descriptor. Registering a head twice is an error.
+    and returns the descriptor. The table is keyed by head alone and
+    stays open: a head registered later is seen by the next lookup.
+    Registering a head twice is an error.
     """
     head = _head_of(witness)
     with _register_lock:
-        if head in _registered:
+        if head in _descs:
             raise DuplicateDescriptor(f"descriptor for {head.name} already registered")
-        _registered.add(head)
-    _desc_fun.extend(_wildcard_rep(head), lambda t: builder(*t.args))
+        _descs[head] = builder
 
 
 def view_desc(t: TypePattern) -> Desc:
-    """The registered descriptor of t; NO_DESC when none exists."""
-    if t is ANY or not _desc_fun.supports(t):
+    """Its head's builder applied to t's arguments, which may be
+    wildcards; NO_DESC for the wildcard or an unregistered head."""
+    if t is ANY:
         return NO_DESC
-    return _desc_fun.apply(t)
+    builder = _descs.get(t.head)
+    return NO_DESC if builder is None else builder(*t.args)
 
 
 def register_repr(witness: Any, builder: Callable[..., Representation]) -> None:
     """Attach a public representation to an abstract or opaque head."""
     head = _head_of(witness)
     with _register_lock:
-        if head in _registered_repr:
+        if head in _reprs:
             raise DuplicateDescriptor(
                 f"representation for {head.name} already registered"
             )
-        _registered_repr.add(head)
-    _repr_fun.extend(_wildcard_rep(head), lambda t: builder(*t.args))
+        _reprs[head] = builder
 
 
 def repr_of(t: TypeRep) -> Representation:
@@ -386,9 +380,10 @@ def repr_of(t: TypeRep) -> Representation:
 
 
 def try_repr(t: TypeRep) -> Optional[Representation]:
-    if t is ANY or not _repr_fun.supports(t):
+    if t is ANY:
         return None
-    return _repr_fun.apply(t)
+    builder = _reprs.get(t.head)
+    return None if builder is None else builder(*t.args)
 
 
 # ---------------------------------------------------------------------------

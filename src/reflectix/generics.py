@@ -17,6 +17,8 @@ from .desc import (
     ArrayLikeDesc,
     ExtensibleDesc,
     OpaqueDesc,
+    ProductDesc,
+    RecordDesc,
     ScalarDesc,
     SynonymDesc,
     VariantDesc,
@@ -40,6 +42,7 @@ from .typerep import (
     ty_equal,
 )
 from .views import (
+    App,
     Base,
     Con,
     Delay,
@@ -90,17 +93,8 @@ show_fun.extend(
 
 def _show_generic(t: TypeRep, x: Any) -> str:
     dd = view_desc(t)
-    if isinstance(dd, VariantDesc):
-        ca = conap(dd, x)
-        if ca.con.arity == 0:
-            return ca.con.name
-        parts = [
-            show(f.ty, v)
-            for f, v in zip(ca.con.fields, ca.con.shape.flat(ca.args))
-        ]
-        return f"{ca.con.name} ({', '.join(parts)})"
-    if isinstance(dd, ExtensibleDesc):
-        ca = ext_conap(dd, x)
+    if isinstance(dd, (VariantDesc, ExtensibleDesc)):
+        ca = conap(dd, x) if isinstance(dd, VariantDesc) else ext_conap(dd, x)
         if ca.con.arity == 0:
             return ca.con.name
         parts = [
@@ -122,8 +116,6 @@ def _show_generic(t: TypeRep, x: Any) -> str:
         if rep is None:
             raise NotSupported(show_fun.doc, render(t))
         return f"{dd.name}({show(rep.repr_ty, rep.to_repr(x))})"
-    from .desc import ProductDesc, RecordDesc
-
     if isinstance(dd, RecordDesc):
         vals = dd.shape.flat(dd.iso.bck(x))
         inner = "; ".join(
@@ -241,8 +233,6 @@ def children_sumprod(t: TypeRep, x: Any) -> list:
 
 def children_spine(t: TypeRep, x: Any) -> list:
     """Same-typed immediate subvalues, via the spine view."""
-    from .views import App
-
     out: list = []
     s = spine(t, x)
     while isinstance(s, App):

@@ -286,30 +286,16 @@ class _Builder:
         self._pins: list = []  # keep ids alive while building
 
     def build(self, t: TypeRep, v: Any, path: str) -> int:
-        dd = d.view_desc(t)
-        if isinstance(dd, d.SynonymDesc):
-            return self.build(dd.target, v, path)
-        if isinstance(dd, (d.AbstractDesc, d.OpaqueDesc)):
-            rep = d.try_repr(t)
-            if rep is None:
-                raise NoDescriptor(
-                    f"at {path}: {render(t)} has no public representation"
-                )
-            key = (id(v), t)
-            hit = self._memo.get(key)
-            if hit is not None:
-                return hit
-            self._pins.append(v)
-            idx = self.build(rep.repr_ty, rep.to_repr(v), path)
-            self._memo[key] = idx
-            return idx
-        if dd is d.NO_DESC:
-            raise NoDescriptor(f"at {path}: no descriptor for {render(t)}")
+        t, dd, rep = _resolve(t, path)
         key = (id(v), t)
         hit = self._memo.get(key)
         if hit is not None:
             return hit
         self._pins.append(v)
+        if rep is not None:
+            idx = self.build(rep.repr_ty, rep.to_repr(v), path)
+            self._memo[key] = idx
+            return idx
         idx = len(self.nodes)
         self.nodes.append(None)
         self._memo[key] = idx
@@ -641,9 +627,11 @@ class _Materializer:
         else:
             fields, make = _match_node(self.graph, n, p2, dd, path)
             self.building.add(n)
-            v = make(
-                [self.go(fp, m, f"{path}.{i}") for i, (m, fp) in enumerate(fields)]
-            )
+            # Not a comprehension, which would cost a second frame per level.
+            values = []
+            for i, (m, fp) in enumerate(fields):
+                values.append(self.go(fp, m, f"{path}.{i}"))
+            v = make(values)
             self.building.discard(n)
         self.memo[key] = v
         return v

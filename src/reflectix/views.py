@@ -322,7 +322,7 @@ def conlist(t: TypeRep) -> list[Constructor]:
                 dd.name,
                 dd.fields,
                 dd.iso.fwd,
-                lambda x, _d=dd: _d.iso.bck(x),
+                dd.iso.bck,
             )
         ]
     if isinstance(dd, ProductDesc):
@@ -332,7 +332,7 @@ def conlist(t: TypeRep) -> list[Constructor]:
                 t.head.name,
                 fields,
                 dd.iso.fwd,
-                lambda x, _d=dd: _d.iso.bck(x),
+                dd.iso.bck,
             )
         ]
     return []

@@ -14,7 +14,7 @@ from reflectix.errors import (
     UnknownConstructor,
 )
 from reflectix.exprlang import Add, Cst, Expr, Let, Neg, Sub, Var
-from reflectix.typerep import Bool, Int, List, Pair, String, declare
+from reflectix.typerep import ANY, Bool, Int, List, Pair, String, declare
 
 
 def test_product_shape_nest_flat_inverse():
@@ -151,6 +151,36 @@ def test_register_duplicate_head_rejected():
 def test_view_desc_falls_back_to_no_desc():
     T = declare("Undescribed", 0, ("tests",))
     assert d.view_desc(T) is d.NO_DESC
+
+
+def test_register_repr_duplicate_head_rejected():
+    T = declare("DupReprDemo", 0, ("tests",))
+    rep = d.Representation(Int, lambda x: x, lambda x: x)
+    d.register_repr(T, lambda: rep)
+    with pytest.raises(DuplicateDescriptor):
+        d.register_repr(T, lambda: rep)
+
+
+def test_wildcard_has_no_descriptor_or_representation():
+    assert d.view_desc(ANY) is d.NO_DESC
+    assert d.try_repr(ANY) is None
+
+
+def test_wildcard_arguments_find_the_heads_descriptor():
+    dd = d.view_desc(List(ANY))
+    assert isinstance(dd, d.VariantDesc) and dd.name == "List"
+    assert dd.ncst_get(0).fields[1].ty == List(ANY)
+
+
+def test_registry_stays_open_after_a_miss():
+    T = declare("LateDemo", 0, ("tests",))
+    assert d.view_desc(T) is d.NO_DESC
+    assert d.try_repr(T) is None
+    d.register(T, lambda: d.AbstractDesc("LateDemo", ("tests",)))
+    rep = d.Representation(Int, lambda x: x, lambda x: x)
+    d.register_repr(T, lambda: rep)
+    assert d.view_desc(T) == d.AbstractDesc("LateDemo", ("tests",))
+    assert d.try_repr(T) is rep
 
 
 def test_desc_builder_receives_type_arguments():

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from reflectix import desc as d
 from reflectix import generics as g
 from reflectix import prelude as pl
 from reflectix import safeser as ss
@@ -23,6 +24,7 @@ from reflectix.errors import (
     Incompatible,
     MalformedBytes,
     MalformedValue,
+    NoDescriptor,
     ReflectixError,
     RepresentationRejected,
     UnknownConstructor,
@@ -32,11 +34,13 @@ from reflectix.typerep import (
     Array,
     Bool,
     Char,
+    EqualityWitness,
     Float,
     Int,
     List,
     Pair,
     String,
+    declare,
     render,
 )
 
@@ -621,3 +625,22 @@ def test_deep_graph_hits_depth_limit_in_recursive_paths():
         ss.check_compat(List(Int), graph)
     with pytest.raises(DepthLimitExceeded):
         ss.deserialize(List(Int), data)
+
+
+def test_materializer_reaches_the_checkers_depth():
+    graph = _chain_graph(800)
+    data = ss.encode_graph(graph)
+    ss.check_compat(List(Int), graph)
+    assert ss.materialize(List(Int), graph) == list(range(800))
+    assert ss.deserialize(List(Int), data) == list(range(800))
+
+
+def test_synonym_cycle_refused_both_ways():
+    A = declare("SynCycleA", 0, ("tests",))
+    B = declare("SynCycleB", 0, ("tests",))
+    d.register(A, lambda: d.SynonymDesc(B, EqualityWitness(B, A)))
+    d.register(B, lambda: d.SynonymDesc(A, EqualityWitness(A, B)))
+    with pytest.raises(NoDescriptor, match="synonym chain too long"):
+        ss.serialize(A, 1)
+    with pytest.raises(NoDescriptor, match="synonym chain too long"):
+        ss.deserialize(A, ss.serialize(Int, 1))
