@@ -82,8 +82,13 @@ def _read_bytes(path: str) -> bytes:
 
 
 def _read_text(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as f:
-        return f.read()
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return f.read()
+    except UnicodeDecodeError as e:
+        raise ReflectixError(
+            f"{path}: not UTF-8 text ({e.reason} at byte {e.start})"
+        ) from None
 
 
 def _node_line(i: int, node: Any) -> str:

@@ -223,9 +223,7 @@ class ArrayOps:
 
     length: Callable[[Any], int]
     get: Callable[[Any, int], Any]
-    set: Optional[Callable[[Any, int, Any], None]]
     init: Callable[[int, Callable[[int], Any]], Any]
-    max_length: int
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,6 @@ error type).
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -140,30 +139,19 @@ d.register(
     String,
     lambda: d.ArrayLikeDesc(
         Char,
-        d.ArrayOps(
-            length=len,
-            get=lambda s, i: s[i],
-            set=None,
-            init=_string_init,
-            max_length=sys.maxsize,
-        ),
+        d.ArrayOps(length=len, get=lambda s, i: s[i], init=_string_init),
         bytes_like=True,
     ),
 )
 
 
 def _array_desc(a: Any) -> d.ArrayLikeDesc:
-    def set_(xs: list, i: int, v: Any) -> None:
-        xs[i] = v
-
     return d.ArrayLikeDesc(
         a,
         d.ArrayOps(
             length=len,
             get=lambda xs, i: xs[i],
-            set=set_,
             init=lambda n, f: [f(i) for i in range(n)],
-            max_length=sys.maxsize,
         ),
         bytes_like=False,
     )

@@ -6,26 +6,29 @@ extensible constructors. The graph layer makes sharing and cycles
 first class: shared subvalues map to shared nodes, and a node may
 reference itself.
 
-Deserialization never trusts its input, and takes one path: decode the
-bytes into a graph, check the graph against the expected type, then
-materialize the value from that same graph.
+Each direction is one walk. serialize builds the graph from the value
+by its descriptors and encodes it. deserialize, which never trusts its
+input, decodes the bytes into a graph and materializes the value from
+it, checking each node at every type it is used at as its value is
+built.
 
 One set of rules says what a node must look like at a type: its kind,
-tag and arity, the character range, UTF-8 text, array length, and
-extensible constructor names. _match_node states them once, and two
-walks apply them.
-
-The checker walks nodes with type patterns, generalizing a node's
-recorded pattern by anti-unification whenever it is reached again at a
-different type. A node is re-examined only when its pattern strictly
-generalized, which bounds work per node by the size of the first
-pattern it was seen at, so checking terminates even on cyclic graphs
-presenting a node at ever-changing types.
+tag and arity, the character range, UTF-8 text, and extensible
+constructor names. _match_node states them once. The materializer and
+the checker both apply them.
 
 The materializer applies the rules at the concrete type of every use
 of a node and builds the value, so it is safe on a graph nobody
 checked. It refuses cycles (the value layer cannot tie knots) by
 noticing when it reaches a node whose own fields it is still building.
+
+The checker, check_compat, builds no value. It walks nodes with type
+patterns, generalizing a node's recorded pattern by anti-unification
+whenever it is reached again at a different type. A node is
+re-examined only when its pattern strictly generalized, which bounds
+work per node by the size of the first pattern it was seen at, so
+checking terminates even on cyclic graphs presenting a node at
+ever-changing types.
 """
 from __future__ import annotations
 
@@ -325,7 +328,12 @@ class _Builder:
             if dd.bytes_like:
                 if not isinstance(v, str):
                     raise MalformedValue(f"at {path}: not a text value: {v!r}")
-                return Bytes(v.encode("utf-8"))
+                try:
+                    return Bytes(v.encode("utf-8"))
+                except UnicodeEncodeError:
+                    raise MalformedValue(
+                        f"at {path}: text is not encodable as UTF-8: {v!r}"
+                    ) from None
             n = dd.ops.length(v)
             refs = tuple(
                 self.build(dd.elem, dd.ops.get(v, i), f"{path}.{i}")
@@ -493,12 +501,6 @@ def _match_node(
         if not isinstance(node, Block) or node.tag != 0:
             raise Incompatible(path, render(p), node_kind(node))
         ops = dd.ops
-        if len(node.fields) > ops.max_length:
-            raise Incompatible(
-                path,
-                f"at most {ops.max_length} elements",
-                f"{len(node.fields)} elements",
-            )
         fields = [(m, dd.elem) for m in node.fields]
         return fields, lambda vs: ops.init(len(vs), vs.__getitem__)
     if isinstance(dd, d.VariantDesc):
@@ -549,7 +551,9 @@ def check_compat(t: TypeRep, g: ValueGraph, root: Optional[int] = None) -> Conve
     Applies _match_node's rules once per node and pattern. Raises
     Incompatible, NoDescriptor, or UnknownConstructor on failure;
     returns the walk state, whose counters record descents and pattern
-    updates per node.
+    updates per node. Neither serialize nor deserialize runs it; it
+    gives a verdict without building a value, and convert starts with
+    it.
 
     A node shared between uses at different types is checked at the
     anti-unifier of those types, and the verdict can depend on which use
@@ -661,19 +665,22 @@ def materialize(
 
 
 def serialize(t: TypeRep, v: Any) -> bytes:
-    """Encode v at type t; the graph is checked before encoding."""
-    g = build_graph(t, v)
-    check_compat(t, g)
-    return encode_graph(g)
+    """Encode v at type t.
+
+    build_graph takes each node's kind, tag and arity from the same
+    descriptors that deserialize reads them back by, and checks scalars
+    and text itself, so the graph is encoded as built.
+    """
+    return encode_graph(build_graph(t, v))
 
 
 def deserialize(t: TypeRep, data: bytes) -> Any:
-    """Decode, check against t, and rebuild a value.
+    """Decode the bytes and rebuild a value of type t, in one walk.
 
-    One path: check_compat runs over the decoded graph, then materialize
-    builds the value from that same graph, checking each node again at
-    every type it is used at. So a shared node that the checker's join
-    lets through at two clashing types is still refused here.
+    materialize builds the value from the decoded graph, checking each
+    node at every type it is used at as its value is built. So a shared
+    node used at two clashing types is refused, which check_compat's
+    join would let through.
 
     Malformed bytes raise MalformedBytes with an offset; structurally
     valid graphs of the wrong shape raise Incompatible with a path; a
@@ -681,6 +688,4 @@ def deserialize(t: TypeRep, data: bytes) -> Any:
     RepresentationRejected; a cyclic graph raises CyclicValue. No input
     crashes the process.
     """
-    g = decode_graph(data)
-    check_compat(t, g)
-    return materialize(t, g)
+    return materialize(t, decode_graph(data))

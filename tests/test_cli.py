@@ -119,6 +119,20 @@ def test_missing_file_is_exit_1(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["roundtrip", "--type", "Expr"], ["demo-expr", "--pass", "height"]],
+    ids=["roundtrip", "demo-expr"],
+)
+def test_text_that_is_not_utf8_is_exit_1(capsys, tmp_path, argv):
+    p = tmp_path / "bad.txt"
+    p.write_bytes(b"\xff\xfe(")
+    assert cli.main(argv + [str(p)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not UTF-8" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_roundtrip_ok(capsys, tmp_path):
     f = _expr_file(tmp_path, "(add (cst 1) (cst 2))")
     assert cli.main(["roundtrip", "--type", "Expr", f]) == 0

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from reflectix import cli
 from reflectix import desc as d
 from reflectix import generics as g
 from reflectix import prelude as pl
@@ -186,6 +187,8 @@ def test_roundtrip_unicode_text():
     for s in ["", "héllo", "✓ αβγ", "line\nbreak", "\x00nul"]:
         assert ss.deserialize(String, ss.serialize(String, s)) == s
     assert ss.deserialize(Char, ss.serialize(Char, "é")) == "é"
+    # A Char is written as its code point, so even a surrogate round-trips.
+    assert ss.deserialize(Char, ss.serialize(Char, "\ud800")) == "\ud800"
 
 
 def test_roundtrip_float_specials():
@@ -335,20 +338,44 @@ def _mutations(graph):
                 yield ss.ValueGraph(nodes, graph.root)
 
 
-def test_checker_and_materializer_agree_on_value_graphs_and_mutations():
-    # materialize gets the mutated graph unchecked, so it must refuse by
-    # itself whatever the checker refuses, with the same error class.
+def _validate_exit(capsys, tmp_path, t, data):
+    f = tmp_path / "blob.bin"
+    f.write_bytes(data)
+    code = cli.main(["validate", "--type", render(t), str(f)])
+    capsys.readouterr()
+    return code
+
+
+def test_checker_and_materializer_agree_on_value_graphs_and_mutations(
+    capsys, tmp_path
+):
+    # Every graph build_graph makes passes the checker, which is why
+    # serialize does not run it. materialize gets each mutated graph
+    # unchecked, so it must refuse by itself whatever the checker
+    # refuses, with the same error class; deserialize and validate
+    # give that verdict too.
     rng = random.Random(33)
     for t, gen in SERIALIZABLE_GENERATORS:
-        for _ in range(6):
-            graph = ss.build_graph(t, gen(rng, 3))
-            assert _verdict(ss.check_compat, t, graph) is None
-            assert _verdict(ss.materialize, t, graph) is None
-            for mutated in _mutations(graph):
-                base = _verdict(ss.check_compat, t, mutated)
-                assert _verdict(ss.materialize, t, mutated) == base
-                data = ss.encode_graph(mutated)
-                assert _verdict(ss.deserialize, t, data) == base
+        for size in range(9):
+            for _ in range(6):
+                graph = ss.build_graph(t, gen(rng, size))
+                assert _verdict(ss.check_compat, t, graph) is None
+                assert _verdict(ss.materialize, t, graph) is None
+                for mutated in _mutations(graph):
+                    base = _verdict(ss.check_compat, t, mutated)
+                    assert _verdict(ss.materialize, t, mutated) == base
+                    data = ss.encode_graph(mutated)
+                    try:
+                        ss.deserialize(t, data)
+                    except (Incompatible, CyclicValue) as e:
+                        got, want = type(e), cli.EXIT_INCOMPATIBLE
+                    except ReflectixError as e:
+                        got, want = type(e), cli.exit_code_for(e)
+                    else:
+                        got, want = None, cli.EXIT_OK
+                    assert got == base
+                    if rng.random() < 0.02:
+                        assert _validate_exit(capsys, tmp_path, t, data) == want
 
 
 def test_join_order_leniency_is_confined_to_shared_misuse():
@@ -443,6 +470,9 @@ def test_serialize_rejects_foreign_host_values():
         ss.serialize(Int, 2**70)
     with pytest.raises(MalformedValue):
         ss.serialize(Char, "ab")
+    # A lone surrogate has no UTF-8 form.
+    with pytest.raises(MalformedValue, match=r"at root\.1: .*UTF-8"):
+        ss.serialize(Pair(Int, String), (1, "a\udfffb"))
 
 
 def test_encode_graph_validates():
@@ -588,7 +618,14 @@ def test_fuzz_random_graphs_terminate(count, seed):
             )
             nodes.append(ss.ExtCon(rng.choice(["Failure", "Nope"]), refs))
     graph = ss.ValueGraph(nodes, 0)
+    data = ss.encode_graph(graph)
     for t in (List(Int), pl.PolyTree(Int), Pair(Int, String), pl.Exn):
+        # On a cyclic graph, deserialize terminates by the materializer's
+        # own cycle check: it returns a value or raises a library error.
+        try:
+            ss.deserialize(t, data)
+        except ReflectixError:
+            pass
         try:
             st = ss.check_compat(t, graph)
         except ReflectixError:
