@@ -5,7 +5,8 @@ demo values through the serializer, and run the expression-language
 passes over text files. Exit codes are a stable contract:
 
   0  success
-  1  I/O or other operational failure
+  1  I/O or other operational failure, or input nested too deeply
+     for the interpreter's recursion limit
   2  malformed wire bytes (offset reported)
   3  incompatible graph or round-trip mismatch
   4  unknown type name
@@ -256,6 +257,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return args.run(args)
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_FAILURE
+    except RecursionError:
+        print("error: input nests too deeply to process", file=sys.stderr)
         return EXIT_FAILURE
     except ReflectixError as e:
         print(f"error: {e}", file=sys.stderr)

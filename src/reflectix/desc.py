@@ -4,7 +4,7 @@ Every serializable or traversable type is registered here under its
 head, as a builder from argument representations to a descriptor that
 says what the type is made of: a variant with tagged constructors, a
 record, a bare product, an array, an open (extensible) constructor set,
-a synonym, a scalar, or an abstract/opaque name.
+a synonym, a scalar, or an abstract name.
 
 Constructors carry an embed/proj pair between values and right-nested
 argument products, so generic code can take values apart and rebuild
@@ -197,7 +197,11 @@ class VariantDesc(Desc):
 
 @dataclass(frozen=True)
 class RecordDesc(Desc):
-    """Named fields plus an isomorphism to the nested field product."""
+    """Named fields plus an isomorphism to the nested field product.
+
+    iso.bck raises MalformedValue on a value outside the type, as a
+    variant's classify does.
+    """
 
     name: str
     module_path: tuple[str, ...]
@@ -211,7 +215,10 @@ class RecordDesc(Desc):
 
 @dataclass(frozen=True)
 class ProductDesc(Desc):
-    """A bare tuple type; iso maps the user value to the nested form."""
+    """A bare tuple type; iso maps the user value to the nested form.
+
+    iso.bck raises MalformedValue on a value outside the type.
+    """
 
     shape: ProductShape
     iso: Iso
@@ -275,15 +282,6 @@ class AbstractDesc(Desc):
 
     name: str
     module_path: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class OpaqueDesc(Desc):
-    """Like abstract, but identified by an explicit identifier string."""
-
-    name: str
-    module_path: tuple[str, ...]
-    identifier: str
 
 
 class _NoDesc(Desc):
@@ -359,7 +357,7 @@ def view_desc(t: TypePattern) -> Desc:
 
 
 def register_repr(witness: Any, builder: Callable[..., Representation]) -> None:
-    """Attach a public representation to an abstract or opaque head."""
+    """Attach a public representation to an abstract head."""
     head = _head_of(witness)
     with _register_lock:
         if head in _reprs:
@@ -388,17 +386,26 @@ def try_repr(t: TypeRep) -> Optional[Representation]:
 # Taking values apart
 
 
-def conap(v: VariantDesc, x: Any) -> ConApp:
+def conap(dd: VariantDesc | ExtensibleDesc, x: Any) -> ConApp:
     """Split x into its constructor and nested argument product.
 
-    Runs in constant time: classify yields the tag, the tag indexes the
-    constructor table, and that constructor's proj extracts arguments.
+    The one way to take a value apart. Runs in constant time: a
+    variant's classify yields the tag and the tag indexes the
+    constructor table; an extensible value names its constructor,
+    which is looked up in the registry. That constructor's proj then
+    extracts the arguments. A value outside the type raises
+    MalformedValue.
     """
-    kind, tag = v.classify(x)
-    con = v.cst_get(tag) if kind == "cst" else v.ncst_get(tag)
+    if isinstance(dd, ExtensibleDesc):
+        if not isinstance(x, ExtValue):
+            raise MalformedValue(f"not a {dd.name} value: {x!r}")
+        con = ext_find(dd, x.con.name)
+    else:
+        kind, tag = dd.classify(x)
+        con = dd.cst_get(tag) if kind == "cst" else dd.ncst_get(tag)
     args = con.proj(x)
     if args is None:
-        raise MalformedValue(f"{v.name} value does not project as {con.name}")
+        raise MalformedValue(f"{dd.name} value does not project as {con.name}")
     return ConApp(con, args)
 
 
@@ -429,17 +436,6 @@ def ext_find(e: ExtensibleDesc, name: str) -> Constructor:
     if con is None:
         raise UnknownConstructor(f"{e.name} has no constructor {name}")
     return con
-
-
-def ext_conap(e: ExtensibleDesc, x: ExtValue) -> ConApp:
-    """Split an extensible value using the registered constructor."""
-    con = ext_find(e, x.con.name)
-    args = con.proj(x)
-    if args is None:
-        raise MalformedValue(
-            f"{e.name} value does not project as {con.name}"
-        )
-    return ConApp(con, args)
 
 
 def reinstate(e: ExtensibleDesc, x: ExtValue) -> ExtValue:
@@ -479,24 +475,13 @@ def class_constructor(
     cls: type,
     field_specs: Sequence[tuple[str, TypePattern]],
     name: Optional[str] = None,
-    mutable: frozenset[str] = frozenset(),
-    named: bool = False,
 ) -> Constructor:
     """Constructor backed by a Python class with named attributes.
 
-    Attribute names drive extraction either way; they only become field
-    names (visible to record-style rendering) when named is set.
+    Attribute names drive extraction; the fields themselves are
+    positional and immutable.
     """
-    fields = tuple(
-        Field(
-            fname if named else "",
-            ty,
-            (lambda fn: lambda obj, v: setattr(obj, fn, v))(fname)
-            if fname in mutable
-            else None,
-        )
-        for fname, ty in field_specs
-    )
+    fields = tuple(Field("", ty) for _, ty in field_specs)
     shape = fields_shape(fields)
     names = [fname for fname, _ in field_specs]
 

@@ -16,18 +16,16 @@ from .desc import (
     AbstractDesc,
     ArrayLikeDesc,
     ExtensibleDesc,
-    OpaqueDesc,
     ProductDesc,
     RecordDesc,
     ScalarDesc,
     SynonymDesc,
     VariantDesc,
     conap,
-    ext_conap,
     try_repr,
     view_desc,
 )
-from .errors import NotSupported, NoView
+from .errors import MalformedValue, NotSupported, NoView
 from .typerep import (
     ANY,
     Char,
@@ -35,7 +33,6 @@ from .typerep import (
     Fun,
     Int,
     List,
-    Pair,
     String,
     TypeRep,
     render,
@@ -54,9 +51,8 @@ from .views import (
     Right,
     Sum,
     UNIT,
-    conlist,
-    conlist_conap,
     spine,
+    split,
     sumprod,
 )
 
@@ -81,20 +77,21 @@ show_fun.extend(Float, lambda t, x: repr(x))
 show_fun.extend(Char, lambda t, x: f"'{x}'")
 show_fun.extend(String, lambda t, x: f'"{x}"')
 show_fun.extend(Fun(ANY, ANY), lambda t, x: "<fun>")
-show_fun.extend(
-    List(ANY),
-    lambda t, x: "[" + "; ".join(show(t.args[0], e) for e in x) + "]",
-)
-show_fun.extend(
-    Pair(ANY, ANY),
-    lambda t, x: "(" + show(t.args[0], x[0]) + ", " + show(t.args[1], x[1]) + ")",
-)
+
+
+def _show_list(t: TypeRep, x: Any) -> str:
+    if type(x) is not list:
+        raise MalformedValue(f"not a List value: {x!r}")
+    return "[" + "; ".join(show(t.args[0], e) for e in x) + "]"
+
+
+show_fun.extend(List(ANY), _show_list)
 
 
 def _show_generic(t: TypeRep, x: Any) -> str:
     dd = view_desc(t)
     if isinstance(dd, (VariantDesc, ExtensibleDesc)):
-        ca = conap(dd, x) if isinstance(dd, VariantDesc) else ext_conap(dd, x)
+        ca = conap(dd, x)
         if ca.con.arity == 0:
             return ca.con.name
         parts = [
@@ -111,7 +108,7 @@ def _show_generic(t: TypeRep, x: Any) -> str:
         return "[|" + "; ".join(show(dd.elem, dd.ops.get(x, i)) for i in range(n)) + "|]"
     if isinstance(dd, SynonymDesc):
         return show(dd.target, x)
-    if isinstance(dd, (AbstractDesc, OpaqueDesc)):
+    if isinstance(dd, AbstractDesc):
         rep = try_repr(t)
         if rep is None:
             raise NotSupported(show_fun.doc, render(t))
@@ -177,7 +174,7 @@ def _equal_base(t: TypeRep, x: Any, y: Any) -> bool:
             equal(dd.elem, dd.ops.get(x, i), dd.ops.get(y, i)) for i in range(n)
         )
     if isinstance(dd, ExtensibleDesc):
-        cx, cy = ext_conap(dd, x), ext_conap(dd, y)
+        cx, cy = conap(dd, x), conap(dd, y)
         if cx.con is not cy.con:
             return False
         fx = cx.con.shape.flat(cx.args)
@@ -244,10 +241,9 @@ def children_spine(t: TypeRep, x: Any) -> list:
 
 def children_conlist(t: TypeRep, x: Any) -> list:
     """Same-typed immediate subvalues, via the constructor list."""
-    cs = conlist(t)
-    if not cs:
+    ca = split(t, x)
+    if ca is None:
         return []
-    ca = conlist_conap(t, cs, x)
     out: list = []
     for f, v in zip(ca.con.fields, ca.con.shape.flat(ca.args)):
         out.extend(child(t, f.ty, v))

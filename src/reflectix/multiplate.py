@@ -30,7 +30,7 @@ from .effects import (
     run_identity,
 )
 from .typerep import Dyn, TypeRep
-from .views import conlist, conlist_conap
+from .views import split
 
 
 @dataclass
@@ -48,12 +48,10 @@ def scrap_m(t: TypeRep, x: Any) -> Scrapped:
     Types without constructors are leaves: an empty product whose
     rebuild returns x unchanged.
     """
-    cs = conlist(t)
-    if not cs:
+    ca = split(t, x)
+    if ca is None:
         return Scrapped(ProductShape(()), (), lambda _nested: x)
-    ca = conlist_conap(t, cs, x)
-    con = ca.con
-    return Scrapped(con.shape, ca.args, con.embed)
+    return Scrapped(ca.con.shape, ca.args, ca.con.embed)
 
 
 @dataclass(frozen=True)

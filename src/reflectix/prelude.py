@@ -65,26 +65,22 @@ d.register(
 )
 
 # ---------------------------------------------------------------------------
-# Unit and pairs: bare products.
-
-d.register(
-    Unit,
-    lambda: d.ProductDesc(
-        d.ProductShape(()),
-        d.Iso(fwd=lambda nested: (), bck=lambda u: ()),
-    ),
-)
+# Unit and pairs: bare products over Python tuples.
 
 
-def _pair_desc(a: Any, b: Any) -> d.ProductDesc:
-    shape = d.ProductShape((a, b))
-    return d.ProductDesc(
-        shape,
-        d.Iso(fwd=lambda nested: shape.flat(nested), bck=lambda p: shape.nest(p)),
-    )
+def _tuple_desc(*reps: Any) -> d.ProductDesc:
+    shape = d.ProductShape(reps)
+
+    def bck(p: Any) -> Any:
+        if not isinstance(p, tuple) or len(p) != len(reps):
+            raise MalformedValue(f"not a {len(reps)}-tuple: {p!r}")
+        return shape.nest(p)
+
+    return d.ProductDesc(shape, d.Iso(fwd=shape.flat, bck=bck))
 
 
-d.register(Pair, _pair_desc)
+d.register(Unit, _tuple_desc)
+d.register(Pair, _tuple_desc)
 
 # ---------------------------------------------------------------------------
 # Lists: Python lists viewed as nil/cons cells.
@@ -228,14 +224,17 @@ def _rtree_desc(a: Any) -> d.RecordDesc:
         d.Field("children", List(Rtree(a))),
     )
     shape = d.fields_shape(fields)
+
+    def bck(r: Any) -> Any:
+        if type(r) is not Rose:
+            raise MalformedValue(f"not an Rtree value: {r!r}")
+        return shape.nest((r.attr, r.children))
+
     return d.RecordDesc(
         "Rtree",
         ("demo",),
         fields,
-        d.Iso(
-            fwd=lambda nested: Rose(*shape.flat(nested)),
-            bck=lambda r: shape.nest((r.attr, r.children)),
-        ),
+        d.Iso(fwd=lambda nested: Rose(*shape.flat(nested)), bck=bck),
     )
 
 

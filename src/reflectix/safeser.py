@@ -302,12 +302,10 @@ class _Builder:
         idx = len(self.nodes)
         self.nodes.append(None)
         self._memo[key] = idx
-        self.nodes[idx] = self._node_for(dd, t, v, path, idx)
+        self.nodes[idx] = self._node_for(dd, t, v, path)
         return idx
 
-    def _node_for(
-        self, dd: d.Desc, t: TypeRep, v: Any, path: str, idx: int
-    ) -> ValueNode:
+    def _node_for(self, dd: d.Desc, t: TypeRep, v: Any, path: str) -> ValueNode:
         if isinstance(dd, d.ScalarDesc):
             if dd.kind == "int":
                 if not isinstance(v, int) or isinstance(v, bool):
@@ -335,39 +333,26 @@ class _Builder:
                         f"at {path}: text is not encodable as UTF-8: {v!r}"
                     ) from None
             n = dd.ops.length(v)
-            refs = tuple(
-                self.build(dd.elem, dd.ops.get(v, i), f"{path}.{i}")
-                for i in range(n)
-            )
-            return Block(0, refs)
-        if isinstance(dd, d.VariantDesc):
+            reps, flat = (dd.elem,) * n, [dd.ops.get(v, i) for i in range(n)]
+        elif isinstance(dd, (d.RecordDesc, d.ProductDesc)):
+            reps, flat = dd.shape.reps, dd.shape.flat(dd.iso.bck(v))
+        elif isinstance(dd, (d.VariantDesc, d.ExtensibleDesc)):
             ca = d.conap(dd, v)
-            kind, tag = dd.classify(v)
-            if kind == "cst":
-                return Imm(tag)
-            flat = ca.con.shape.flat(ca.args)
-            refs = tuple(
-                self.build(f.ty, fv, f"{path}.{i}")
-                for i, (f, fv) in enumerate(zip(ca.con.fields, flat))
-            )
-            return Block(tag, refs)
-        if isinstance(dd, (d.RecordDesc, d.ProductDesc)):
-            shape = dd.shape
-            flat = shape.flat(dd.iso.bck(v))
-            refs = tuple(
-                self.build(r, fv, f"{path}.{i}")
-                for i, (r, fv) in enumerate(zip(shape.reps, flat))
-            )
-            return Block(0, refs)
+            con = ca.con
+            if isinstance(dd, d.VariantDesc) and con.arity == 0:
+                return Imm(dd.cst.index(con))
+            reps, flat = con.shape.reps, con.shape.flat(ca.args)
+        else:
+            raise NoDescriptor(f"at {path}: no descriptor for {render(t)}")
+        refs = tuple(
+            self.build(r, fv, f"{path}.{i}")
+            for i, (r, fv) in enumerate(zip(reps, flat))
+        )
         if isinstance(dd, d.ExtensibleDesc):
-            ca = d.ext_conap(dd, v)
-            flat = ca.con.shape.flat(ca.args)
-            refs = tuple(
-                self.build(f.ty, fv, f"{path}.{i}")
-                for i, (f, fv) in enumerate(zip(ca.con.fields, flat))
-            )
-            return ExtCon(ca.con.name, refs)
-        raise NoDescriptor(f"at {path}: no descriptor for {render(t)}")
+            return ExtCon(con.name, refs)
+        if isinstance(dd, d.VariantDesc):
+            return Block(dd.ncst.index(con), refs)
+        return Block(0, refs)
 
 
 def build_graph(t: TypeRep, v: Any) -> ValueGraph:
@@ -406,7 +391,7 @@ def _resolve(
     p: TypeRep, path: str
 ) -> tuple[TypeRep, d.Desc, Optional[d.Representation]]:
     """Follow synonyms from p; return the type reached, its descriptor,
-    and its public representation if it is abstract or opaque."""
+    and its public representation if it is abstract."""
     for _ in range(64):
         dd = d.view_desc(p)
         if isinstance(dd, d.SynonymDesc):
@@ -414,7 +399,7 @@ def _resolve(
             continue
         if dd is d.NO_DESC:
             raise NoDescriptor(f"at {path}: no descriptor for {render(p)}")
-        if not isinstance(dd, (d.AbstractDesc, d.OpaqueDesc)):
+        if not isinstance(dd, d.AbstractDesc):
             return p, dd, None
         rep = d.try_repr(p)
         if rep is None:

@@ -25,7 +25,7 @@ from .effects import (
 )
 from .errors import ArityMismatch, FuelExhausted
 from .typerep import TypeRep, ty_equal
-from .views import conlist, conlist_conap
+from .views import split
 
 DEFAULT_FUEL = 10**6
 
@@ -45,15 +45,14 @@ def scrap(t: TypeRep, x: Any) -> Scrap:
     are leaves: no children, and rebuild returns x itself. rebuild
     raises ArityMismatch when handed the wrong number of children.
     """
-    cs = conlist(t)
-    if not cs:
+    ca = split(t, x)
+    if ca is None:
         def rebuild_leaf(new: Sequence[Any]) -> Any:
             if len(new) != 0:
                 raise ArityMismatch("leaf rebuild expects no children")
             return x
 
         return Scrap([], rebuild_leaf)
-    ca = conlist_conap(t, cs, x)
     con = ca.con
     flat = con.shape.flat(ca.args)
     positions = [

@@ -8,6 +8,10 @@ The spine view splits one value into a constructor node and a chain of
 argument applications. The constructor-list view flattens everything
 to a list of constructors, giving records and bare products a single
 synthetic constructor.
+
+Every view, and every traversal built on them, takes a value apart the
+same way: split(t, x) asks desc.conap for variants and the synthetic
+constructor for records and products, and calls everything else a leaf.
 """
 
 from __future__ import annotations
@@ -24,8 +28,6 @@ from .desc import (
     Desc,
     ExtensibleDesc,
     Field,
-    Iso as DescIso,
-    OpaqueDesc,
     ProductDesc,
     RecordDesc,
     ScalarDesc,
@@ -161,7 +163,7 @@ def sumprod(t: TypeRep) -> SumProd:
         return Base(t)
     if isinstance(dd, SynonymDesc):
         return Delay(dd.target)
-    if isinstance(dd, (AbstractDesc, OpaqueDesc)):
+    if isinstance(dd, AbstractDesc):
         rep = try_repr(t)
         if rep is None:
             return Base(t)
@@ -184,20 +186,9 @@ def sumprod(t: TypeRep) -> SumProd:
             for b in reversed(branches[:-1]):
                 structure = Sum(b, structure)
 
-        decl_index: dict[tuple[str, int], int] = {}
-        cst_i = ncst_i = 0
-        for j, c in enumerate(dd.cons):
-            if c.arity == 0:
-                decl_index[("cst", cst_i)] = j
-                cst_i += 1
-            else:
-                decl_index[("ncst", ncst_i)] = j
-                ncst_i += 1
-
-        def bck(x: Any, _v=dd, _ix=decl_index) -> Any:
+        def bck(x: Any, _v=dd) -> Any:
             ca = conap(_v, x)
-            kind, tag = _v.classify(x)
-            return _sum_value(_ix[(kind, tag)], len(_v.cons), ca.args)
+            return _sum_value(_v.cons.index(ca.con), len(_v.cons), ca.args)
 
         def fwd(s: Any, _v=dd) -> Any:
             idx = 0
@@ -270,16 +261,16 @@ def spine(t: TypeRep, x: Any) -> Spine:
     argument sits innermost, so rebuild folds applications back on in
     declaration order.
     """
-    cs = conlist(t)
-    if not cs:
-        raise NoView(f"no spine view for {render(t)}")
-    ca = conlist_conap(t, cs, x)
-    con = ca.con
     dd = view_desc(t)
+    ca = _split(t, dd, x)
+    if ca is None:
+        raise NoView(f"no spine view for {render(t)}")
+    con = ca.con
     if isinstance(dd, VariantDesc):
         variant = dd.name
         module_path = dd.module_path
-        kind, tag = dd.classify(x)
+        kind = "cst" if con.arity == 0 else "ncst"
+        tag = (dd.cst if con.arity == 0 else dd.ncst).index(con)
     elif isinstance(dd, RecordDesc):
         variant, module_path, kind, tag = dd.name, dd.module_path, "record", 0
     else:
@@ -306,44 +297,44 @@ def rebuild(s: Spine) -> Any:
 # List-of-constructors view
 
 
+def _synthetic(t: TypeRep, dd: Desc) -> Optional[Constructor]:
+    """The single constructor a record or bare product presents."""
+    if isinstance(dd, RecordDesc):
+        return Constructor(dd.name, dd.fields, dd.iso.fwd, dd.iso.bck)
+    if isinstance(dd, ProductDesc):
+        fields = tuple(Field("", r) for r in dd.shape.reps)
+        return Constructor(t.head.name, fields, dd.iso.fwd, dd.iso.bck)
+    return None
+
+
 def conlist(t: TypeRep) -> list[Constructor]:
     """All constructors of t.
 
     Variants list theirs in declaration order; records and bare
     products present a single synthetic constructor; every other
-    category has none.
+    category, extensible types included, has none.
     """
     dd = view_desc(t)
     if isinstance(dd, VariantDesc):
         return list(dd.cons)
-    if isinstance(dd, RecordDesc):
-        return [
-            Constructor(
-                dd.name,
-                dd.fields,
-                dd.iso.fwd,
-                dd.iso.bck,
-            )
-        ]
-    if isinstance(dd, ProductDesc):
-        fields = tuple(Field("", r) for r in dd.shape.reps)
-        return [
-            Constructor(
-                t.head.name,
-                fields,
-                dd.iso.fwd,
-                dd.iso.bck,
-            )
-        ]
-    return []
+    c = _synthetic(t, dd)
+    return [] if c is None else [c]
 
 
-def conlist_conap(t: TypeRep, cs: list[Constructor], x: Any) -> ConApp:
-    """Find the constructor of x by scanning projections in order."""
-    for c in cs:
-        args = c.proj(x)
-        if args is not None:
-            return ConApp(c, args)
-    raise NoMatchingConstructor(
-        f"no constructor of {render(t)} projects the given value"
-    )
+def _split(t: TypeRep, dd: Desc, x: Any) -> Optional[ConApp]:
+    if isinstance(dd, VariantDesc):
+        return conap(dd, x)
+    c = _synthetic(t, dd)
+    return None if c is None else ConApp(c, c.proj(x))
+
+
+def split(t: TypeRep, x: Any) -> Optional[ConApp]:
+    """Which constructor of t built x, and with what arguments.
+
+    Variants split through desc.conap; records and bare products
+    through their synthetic constructor, whose proj is the type's
+    iso.bck. Types without constructors (scalars, arrays, extensible
+    and abstract types) are leaves and give None. A value outside t
+    raises MalformedValue.
+    """
+    return _split(t, view_desc(t), x)

@@ -219,6 +219,16 @@ def test_demo_expr_parse_error_is_exit_5(capsys, tmp_path):
     assert "line 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("pass_name", ["height", "simplify"])
+def test_demo_expr_too_deep_is_one_error_line(capsys, tmp_path, pass_name):
+    depth = 500
+    f = _expr_file(tmp_path, "(neg " * depth + "(cst 1)" + ")" * depth)
+    assert cli.main(["demo-expr", "--pass", pass_name, f]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: input nests too deeply to process\n"
+
+
 def test_fuel_env_limits_rewrites(capsys, tmp_path, monkeypatch):
     f = _expr_file(tmp_path, "(sub (cst 1) (sub (cst 2) (cst 3)))")
     monkeypatch.setenv("REFLECTIX_FUEL", "1")

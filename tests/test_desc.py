@@ -1,9 +1,12 @@
 """Descriptors: shapes, constructors, registries, representations."""
 
+import random
+
 import pytest
 
 from reflectix import desc as d
 from reflectix import prelude as pl
+from reflectix import views as v
 from reflectix.errors import (
     ArityMismatch,
     DuplicateConstructor,
@@ -15,6 +18,8 @@ from reflectix.errors import (
 )
 from reflectix.exprlang import Add, Cst, Expr, Let, Neg, Sub, Var
 from reflectix.typerep import ANY, Bool, Int, List, Pair, String, declare
+
+from conftest import TYPED_GENERATORS, gen_exn
 
 
 def test_product_shape_nest_flat_inverse():
@@ -46,17 +51,38 @@ def test_constructor_proj_inverts_embed():
     assert con.proj(pl.EMPTY) is None
 
 
-def conap_oracle(v: d.VariantDesc, x):
+def conap_oracle(cons, x):
     """Try each constructor's proj in turn; first hit wins."""
-    for con in v.cons:
+    for con in cons:
         args = con.proj(x)
         if args is not None:
-            return d.ConApp(con, args)
+            return con, args
     return None
 
 
 def test_conap_agrees_with_projection_scan():
-    dd = d.view_desc(Expr)
+    """conap (through views.split for records and products) picks the
+    constructor a scan of every projection would, for every generated
+    type with constructors and for the extensible Exn."""
+    rng = random.Random(12)
+    cases = [(t, gen) for t, gen in TYPED_GENERATORS if v.conlist(t)]
+    assert len(cases) == len(TYPED_GENERATORS)
+    for t, gen in cases + [(pl.Exn, gen_exn)]:
+        dd = d.view_desc(t)
+        if isinstance(dd, d.ExtensibleDesc):
+            cons = d.ext_con_list(dd)
+        else:
+            cons = v.conlist(t)
+        for _ in range(40):
+            x = gen(rng, 3)
+            if isinstance(dd, (d.VariantDesc, d.ExtensibleDesc)):
+                got = d.conap(dd, x)
+            else:
+                got = v.split(t, x)
+            want_con, want_args = conap_oracle(cons, x)
+            assert got.con.name == want_con.name
+            assert got.args == want_args
+    expr = d.view_desc(Expr)
     samples = [
         Cst(3),
         Neg(Cst(1)),
@@ -66,10 +92,9 @@ def test_conap_agrees_with_projection_scan():
         Let("x", Cst(1), Var("x")),
     ]
     for s in samples:
-        got = d.conap(dd, s)
-        want = conap_oracle(dd, s)
-        assert got.con is want.con
-        assert got.args == want.args
+        got = d.conap(expr, s)
+        want_con, want_args = conap_oracle(expr.cons, s)
+        assert got.con is want_con and got.args == want_args
 
 
 def test_conap_without_scanning():
@@ -231,9 +256,10 @@ def test_extensible_conap_and_reinstate():
     e = d.ext_create("Msg2", ("tests",))
     c = d.ext_constructor("Wrap", (Int,))
     d.add_con(e, c)
-    v = c.embed((5, ()))
-    ca = d.ext_conap(e, v)
+    ca = d.conap(e, c.embed((5, ())))
     assert ca.con is c and ca.args == (5, ())
+    with pytest.raises(MalformedValue):
+        d.conap(e, 5)
 
     # a foreign constructor with the same name: identity differs,
     # reinstate swaps in the registered one
@@ -245,10 +271,10 @@ def test_extensible_conap_and_reinstate():
 
 
 def test_exn_prelude_is_extensible():
-    ca = d.ext_conap(pl.exn_desc, pl.failure("boom"))
+    ca = d.conap(pl.exn_desc, pl.failure("boom"))
     assert ca.con.name == "Failure"
     assert ca.args == ("boom", ())
-    assert d.ext_conap(pl.exn_desc, pl.NOT_FOUND_VALUE).con.name == "NotFound"
+    assert d.conap(pl.exn_desc, pl.NOT_FOUND_VALUE).con.name == "NotFound"
 
 
 def test_record_fields_and_iso():

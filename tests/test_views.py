@@ -7,6 +7,7 @@ import pytest
 from reflectix import views as v
 from reflectix import prelude as pl
 from reflectix.errors import (
+    MalformedValue,
     NoMatchingConstructor,
     NoRepresentation,
     NoView,
@@ -192,11 +193,19 @@ def test_conlist_empty_for_scalars():
     assert v.conlist(String) == []
 
 
-def test_conlist_conap_scans_in_order():
-    cs = v.conlist(List(Int))
-    ca = v.conlist_conap(List(Int), cs, [1, 2])
-    assert ca.con.name == "::"
-    ca2 = v.conlist_conap(List(Int), cs, [])
-    assert ca2.con.name == "[]"
-    with pytest.raises(NoMatchingConstructor):
-        v.conlist_conap(List(Int), cs, "not a list")
+def test_split_takes_list_values_apart():
+    ca = v.split(List(Int), [1, 2])
+    assert ca.con.name == "::" and ca.args == (1, ([2], ()))
+    ca2 = v.split(List(Int), [])
+    assert ca2.con.name == "[]" and ca2.args == ()
+    with pytest.raises(MalformedValue):
+        v.split(List(Int), "not a list")
+
+
+def test_split_records_products_and_leaves():
+    ca = v.split(pl.Rtree(Int), pl.Rose(1, []))
+    assert ca.con.name == "Rtree" and ca.args == (1, ([], ()))
+    ca = v.split(Pair(Int, String), (1, "a"))
+    assert ca.con.name == "Pair" and ca.args == (1, ("a", ()))
+    assert v.split(Int, 3) is None
+    assert v.split(pl.Exn, pl.NOT_FOUND_VALUE) is None
