@@ -6,9 +6,10 @@ says what the type is made of: a variant with tagged constructors, a
 record, a bare product, an array, an open (extensible) constructor set,
 a synonym, a scalar, or an abstract name.
 
-Constructors carry an embed/proj pair between values and right-nested
-argument products, so generic code can take values apart and rebuild
-them without knowing the concrete Python classes involved.
+Constructors carry an embed/proj pair between values and argument
+tuples in field order, so generic code can take values apart and
+rebuild them without knowing the concrete Python classes involved.
+Only the sum-of-products view (views.sumprod) nests them in pairs.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .errors import (
     DuplicateDescriptor,
     IndexOutOfRange,
     MalformedValue,
+    NoDescriptor,
     NoRepresentation,
     UnknownConstructor,
 )
@@ -33,6 +35,7 @@ from .typerep import (
     TyCon,
     TypePattern,
     TypeRep,
+    render,
 )
 
 
@@ -42,39 +45,14 @@ from .typerep import (
 
 @dataclass(frozen=True)
 class ProductShape:
-    """An ordered tuple of component types.
-
-    The canonical value form is a right-nested chain of pairs ending in
-    the empty tuple: nest((a, b, c)) == (a, (b, (c, ()))). Nesting and
-    flattening are inverse bijections.
-    """
+    """An ordered tuple of component types."""
 
     reps: tuple[TypePattern, ...]
-
-    def __len__(self) -> int:
-        return len(self.reps)
-
-    def nest(self, values: Sequence[Any]) -> Any:
-        if len(values) != len(self.reps):
-            raise ArityMismatch(
-                f"product expects {len(self.reps)} components, got {len(values)}"
-            )
-        out: Any = ()
-        for v in reversed(values):
-            out = (v, out)
-        return out
-
-    def flat(self, nested: Any) -> tuple:
-        values = []
-        for _ in self.reps:
-            values.append(nested[0])
-            nested = nested[1]
-        return tuple(values)
 
 
 @dataclass(frozen=True)
 class Iso:
-    """An isomorphism between a user-facing value and its generic form."""
+    """An isomorphism between a user-facing value and its field tuple."""
 
     fwd: Callable[[Any], Any]
     bck: Callable[[Any], Any]
@@ -90,38 +68,28 @@ class Field:
 
     name: str
     ty: TypePattern
-    # In-place setter for mutable fields; None for immutable ones.
-    set: Optional[Callable[[Any, Any], None]] = None
 
 
 FieldList = tuple[Field, ...]
-
-
-def fields_shape(fields: FieldList) -> ProductShape:
-    return ProductShape(tuple(f.ty for f in fields))
 
 
 @dataclass(frozen=True)
 class Constructor:
     """A data constructor with its argument fields and value conversions.
 
-    proj is a partial inverse of embed: proj(embed(x)) == x for every
-    argument product x, and proj returns None on values built by a
+    proj is a partial inverse of embed: proj(embed(xs)) == xs for every
+    argument tuple xs, and proj returns None on values built by a
     different constructor.
     """
 
     name: str
     fields: FieldList
-    embed: Callable[[Any], Any]
-    proj: Callable[[Any], Optional[Any]]
+    embed: Callable[[Sequence[Any]], Any]
+    proj: Callable[[Any], Optional[tuple]]
 
     @property
     def arity(self) -> int:
         return len(self.fields)
-
-    @property
-    def shape(self) -> ProductShape:
-        return fields_shape(self.fields)
 
     def __repr__(self) -> str:
         return f"<constructor {self.name}/{self.arity}>"
@@ -129,10 +97,10 @@ class Constructor:
 
 @dataclass(frozen=True)
 class ConApp:
-    """A value split into its constructor and nested argument product."""
+    """A value split into its constructor and argument tuple."""
 
     con: Constructor
-    args: Any
+    args: tuple
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +165,7 @@ class VariantDesc(Desc):
 
 @dataclass(frozen=True)
 class RecordDesc(Desc):
-    """Named fields plus an isomorphism to the nested field product.
+    """Named fields plus an isomorphism to the field tuple.
 
     iso.bck raises MalformedValue on a value outside the type, as a
     variant's classify does.
@@ -208,14 +176,10 @@ class RecordDesc(Desc):
     fields: FieldList
     iso: Iso
 
-    @property
-    def shape(self) -> ProductShape:
-        return fields_shape(self.fields)
-
 
 @dataclass(frozen=True)
 class ProductDesc(Desc):
-    """A bare tuple type; iso maps the user value to the nested form.
+    """A bare tuple type; iso maps the user value to its component tuple.
 
     iso.bck raises MalformedValue on a value outside the type.
     """
@@ -356,6 +320,17 @@ def view_desc(t: TypePattern) -> Desc:
     return NO_DESC if builder is None else builder(*t.args)
 
 
+def follow_synonyms(t: TypePattern) -> tuple[TypePattern, Desc]:
+    """The type t names past its synonyms, and that type's descriptor;
+    NoDescriptor after 64 steps, which a synonym cycle reaches."""
+    for _ in range(64):
+        dd = view_desc(t)
+        if not isinstance(dd, SynonymDesc):
+            return t, dd
+        t = dd.target
+    raise NoDescriptor(f"synonym chain too long at {render(t)}")
+
+
 def register_repr(witness: Any, builder: Callable[..., Representation]) -> None:
     """Attach a public representation to an abstract head."""
     head = _head_of(witness)
@@ -387,7 +362,7 @@ def try_repr(t: TypeRep) -> Optional[Representation]:
 
 
 def conap(dd: VariantDesc | ExtensibleDesc, x: Any) -> ConApp:
-    """Split x into its constructor and nested argument product.
+    """Split x into its constructor and argument tuple.
 
     The one way to take a value apart. Runs in constant time: a
     variant's classify yields the tag and the tag indexes the
@@ -407,6 +382,25 @@ def conap(dd: VariantDesc | ExtensibleDesc, x: Any) -> ConApp:
     if args is None:
         raise MalformedValue(f"{dd.name} value does not project as {con.name}")
     return ConApp(con, args)
+
+
+def check_leaf(kind: str, v: Any, path: str = "") -> Any:
+    """v, if it is a value of this leaf kind: a ScalarDesc's kind, or
+    "text" for a bytes-like array. Otherwise MalformedValue, at path if
+    given. The one rule the serializer, show and equal apply to leaves.
+    """
+    if kind == "int":
+        ok = isinstance(v, int) and not isinstance(v, bool)
+    elif kind == "float":
+        ok = isinstance(v, float)
+    elif kind == "char":
+        ok = isinstance(v, str) and len(v) == 1
+    else:
+        ok = kind == "text" and isinstance(v, str)
+    if not ok:
+        where = f"at {path}: " if path else ""
+        raise MalformedValue(f"{where}{kind} expected, got {v!r}")
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -451,15 +445,14 @@ def reinstate(e: ExtensibleDesc, x: ExtValue) -> ExtValue:
 def ext_constructor(name: str, field_tys: Sequence[TypePattern]) -> Constructor:
     """A constructor over ExtValue with positional fields."""
     fields = tuple(Field("", ty) for ty in field_tys)
-    shape = fields_shape(fields)
     holder: list[Constructor] = []
 
-    def embed(nested: Any) -> ExtValue:
-        return ExtValue(holder[0], shape.flat(nested))
+    def embed(args: Sequence[Any]) -> ExtValue:
+        return ExtValue(holder[0], tuple(args))
 
-    def proj(v: Any) -> Optional[Any]:
+    def proj(v: Any) -> Optional[tuple]:
         if isinstance(v, ExtValue) and v.con.name == name:
-            return shape.nest(v.args)
+            return v.args if len(v.args) == len(fields) else None
         return None
 
     con = Constructor(name, fields, embed, proj)
@@ -482,15 +475,14 @@ def class_constructor(
     positional and immutable.
     """
     fields = tuple(Field("", ty) for _, ty in field_specs)
-    shape = fields_shape(fields)
     names = [fname for fname, _ in field_specs]
 
-    def embed(nested: Any) -> Any:
-        return cls(*shape.flat(nested))
+    def embed(args: Sequence[Any]) -> Any:
+        return cls(*args)
 
-    def proj(v: Any) -> Optional[Any]:
+    def proj(v: Any) -> Optional[tuple]:
         if type(v) is cls:
-            return shape.nest(tuple(getattr(v, fname) for fname in names))
+            return tuple(getattr(v, fname) for fname in names)
         return None
 
     return Constructor(name or cls.__name__, fields, embed, proj)
@@ -499,10 +491,10 @@ def class_constructor(
 def constant_constructor(name: str, value: Any) -> Constructor:
     """An argumentless constructor denoting a single value."""
 
-    def embed(nested: Any) -> Any:
+    def embed(args: Sequence[Any]) -> Any:
         return value
 
-    def proj(v: Any) -> Optional[Any]:
+    def proj(v: Any) -> Optional[tuple]:
         return () if v == value and type(v) is type(value) else None
 
     return Constructor(name, (), embed, proj)

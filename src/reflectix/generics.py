@@ -21,6 +21,7 @@ from .desc import (
     ScalarDesc,
     SynonymDesc,
     VariantDesc,
+    check_leaf,
     conap,
     try_repr,
     view_desc,
@@ -72,10 +73,10 @@ def show(t: TypeRep, x: Any) -> str:
     return show_fun.apply(t, x)
 
 
-show_fun.extend(Int, lambda t, x: str(x))
-show_fun.extend(Float, lambda t, x: repr(x))
-show_fun.extend(Char, lambda t, x: f"'{x}'")
-show_fun.extend(String, lambda t, x: f'"{x}"')
+show_fun.extend(Int, lambda t, x: str(check_leaf("int", x)))
+show_fun.extend(Float, lambda t, x: repr(check_leaf("float", x)))
+show_fun.extend(Char, lambda t, x: f"'{check_leaf('char', x)}'")
+show_fun.extend(String, lambda t, x: f'"{check_leaf("text", x)}"')
 show_fun.extend(Fun(ANY, ANY), lambda t, x: "<fun>")
 
 
@@ -94,16 +95,13 @@ def _show_generic(t: TypeRep, x: Any) -> str:
         ca = conap(dd, x)
         if ca.con.arity == 0:
             return ca.con.name
-        parts = [
-            show(f.ty, v)
-            for f, v in zip(ca.con.fields, ca.con.shape.flat(ca.args))
-        ]
+        parts = [show(f.ty, v) for f, v in zip(ca.con.fields, ca.args)]
         return f"{ca.con.name} ({', '.join(parts)})"
     if isinstance(dd, ScalarDesc):
-        return repr(x)
+        return repr(check_leaf(dd.kind, x))
     if isinstance(dd, ArrayLikeDesc):
         if dd.bytes_like:
-            return f'"{x}"'
+            return f'"{check_leaf("text", x)}"'
         n = dd.ops.length(x)
         return "[|" + "; ".join(show(dd.elem, dd.ops.get(x, i)) for i in range(n)) + "|]"
     if isinstance(dd, SynonymDesc):
@@ -114,13 +112,12 @@ def _show_generic(t: TypeRep, x: Any) -> str:
             raise NotSupported(show_fun.doc, render(t))
         return f"{dd.name}({show(rep.repr_ty, rep.to_repr(x))})"
     if isinstance(dd, RecordDesc):
-        vals = dd.shape.flat(dd.iso.bck(x))
         inner = "; ".join(
-            f"{f.name} = {show(f.ty, v)}" for f, v in zip(dd.fields, vals)
+            f"{f.name} = {show(f.ty, v)}" for f, v in zip(dd.fields, dd.iso.bck(x))
         )
         return "{" + inner + "}"
     if isinstance(dd, ProductDesc):
-        vals = dd.shape.flat(dd.iso.bck(x))
+        vals = dd.iso.bck(x)
         return "(" + ", ".join(show(r, v) for r, v in zip(dd.shape.reps, vals)) + ")"
     raise NotSupported(show_fun.doc, render(t))
 
@@ -164,9 +161,11 @@ def _equal_sp(sp: Any, x: Any, y: Any) -> bool:
 
 def _equal_base(t: TypeRep, x: Any, y: Any) -> bool:
     dd = view_desc(t)
+    if isinstance(dd, ScalarDesc):
+        return check_leaf(dd.kind, x) == check_leaf(dd.kind, y)
     if isinstance(dd, ArrayLikeDesc):
         if dd.bytes_like:
-            return x == y
+            return check_leaf("text", x) == check_leaf("text", y)
         n, m = dd.ops.length(x), dd.ops.length(y)
         if n != m:
             return False
@@ -177,13 +176,10 @@ def _equal_base(t: TypeRep, x: Any, y: Any) -> bool:
         cx, cy = conap(dd, x), conap(dd, y)
         if cx.con is not cy.con:
             return False
-        fx = cx.con.shape.flat(cx.args)
-        fy = cy.con.shape.flat(cy.args)
         return all(
-            equal(f.ty, vx, vy) for f, vx, vy in zip(cx.con.fields, fx, fy)
+            equal(f.ty, vx, vy) for f, vx, vy in zip(cx.con.fields, cx.args, cy.args)
         )
-    # Scalars and representation-less abstract types fall back to the
-    # host equality.
+    # Representation-less abstract types fall back to the host equality.
     return x == y
 
 
@@ -245,6 +241,6 @@ def children_conlist(t: TypeRep, x: Any) -> list:
     if ca is None:
         return []
     out: list = []
-    for f, v in zip(ca.con.fields, ca.con.shape.flat(ca.args)):
+    for f, v in zip(ca.con.fields, ca.args):
         out.extend(child(t, f.ty, v))
     return out

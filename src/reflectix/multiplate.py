@@ -1,7 +1,7 @@
 """Traversals over all constructor arguments, not just same-typed ones.
 
-scrap_m splits a value into the heterogeneous product of every
-constructor argument with its type, plus a rebuild function. A Plate
+scrap_m splits a value into the flat tuple of every constructor
+argument with its type, plus a rebuild function. A Plate
 is a type-dispatched effectful transformation, total by construction:
 types it does not mention pass through untouched. Plates compose into
 children- and family-level traversals, folds, and paramorphisms, and
@@ -38,20 +38,21 @@ class Scrapped:
     """All constructor arguments of a value, typed, plus rebuild."""
 
     shape: ProductShape
-    values: Any  # right-nested product matching shape
+    values: tuple  # one argument per component of shape, in order
     rebuild: Callable[[Any], Any]
 
 
 def scrap_m(t: TypeRep, x: Any) -> Scrapped:
     """Split x into every constructor argument with its type.
 
-    Types without constructors are leaves: an empty product whose
-    rebuild returns x unchanged.
+    Types without constructors are leaves: no arguments, and rebuild
+    returns x unchanged.
     """
     ca = split(t, x)
     if ca is None:
-        return Scrapped(ProductShape(()), (), lambda _nested: x)
-    return Scrapped(ca.con.shape, ca.args, ca.con.embed)
+        return Scrapped(ProductShape(()), (), lambda _args: x)
+    reps = tuple(f.ty for f in ca.con.fields)
+    return Scrapped(ProductShape(reps), ca.args, ca.con.embed)
 
 
 @dataclass(frozen=True)
@@ -98,13 +99,13 @@ def plate(
 
 
 def _traverse_product(
-    a: ApplicativeDict, p: Plate, reps: tuple, nested: Any
+    a: ApplicativeDict, p: Plate, reps: tuple, values: tuple
 ) -> Any:
-    if not reps:
-        return a.pure(())
-    head = p.run(reps[0], nested[0])
-    tail = _traverse_product(a, p, reps[1:], nested[1])
-    return liftA2(a, lambda h, tl: (h, tl), head, tail)
+    """p over each argument, effects left to right, into a tuple."""
+    acc = a.pure(())
+    for r, v in zip(reps, values):
+        acc = liftA2(a, lambda done, y: done + (y,), acc, p.run(r, v))
+    return acc
 
 
 def traverse_children_p(a: ApplicativeDict, p: Plate) -> Plate:
@@ -177,8 +178,7 @@ def para_p(step: ConstPlate) -> ConstPlate:
 
     def run(t: TypeRep, x: Any) -> Any:
         s = scrap_m(t, x)
-        flat = s.shape.flat(s.values)
-        rs = [run(r, v) for r, v in zip(s.shape.reps, flat)]
+        rs = [run(r, v) for r, v in zip(s.shape.reps, s.values)]
         return step.run(t, x)(rs)
 
     return ConstPlate(run)
@@ -187,7 +187,7 @@ def para_p(step: ConstPlate) -> ConstPlate:
 def children_dyn(t: TypeRep, x: Any) -> list[Dyn]:
     """Every constructor argument as a typed dynamic value."""
     s = scrap_m(t, x)
-    return [Dyn(r, v) for r, v in zip(s.shape.reps, s.shape.flat(s.values))]
+    return [Dyn(r, v) for r, v in zip(s.shape.reps, s.values)]
 
 
 def family_dyn(t: TypeRep, x: Any) -> list[Dyn]:

@@ -69,14 +69,12 @@ d.register(
 
 
 def _tuple_desc(*reps: Any) -> d.ProductDesc:
-    shape = d.ProductShape(reps)
-
-    def bck(p: Any) -> Any:
+    def bck(p: Any) -> tuple:
         if not isinstance(p, tuple) or len(p) != len(reps):
             raise MalformedValue(f"not a {len(reps)}-tuple: {p!r}")
-        return shape.nest(p)
+        return p
 
-    return d.ProductDesc(shape, d.Iso(fwd=shape.flat, bck=bck))
+    return d.ProductDesc(d.ProductShape(reps), d.Iso(fwd=tuple, bck=bck))
 
 
 d.register(Unit, _tuple_desc)
@@ -94,15 +92,14 @@ def _classify_list(xs: Any) -> tuple[str, int]:
 
 def _list_desc(a: Any) -> d.VariantDesc:
     cons_fields = (d.Field("", a), d.Field("", List(a)))
-    shape = d.fields_shape(cons_fields)
 
-    def cons_embed(nested: Any) -> list:
-        head, tail = shape.flat(nested)
+    def cons_embed(args: Any) -> list:
+        head, tail = args
         return [head] + tail
 
-    def cons_proj(xs: Any) -> Optional[Any]:
+    def cons_proj(xs: Any) -> Optional[tuple]:
         if type(xs) is list and xs:
-            return shape.nest((xs[0], xs[1:]))
+            return (xs[0], xs[1:])
         return None
 
     # nil embeds a fresh list every time; a shared constant would alias
@@ -110,7 +107,7 @@ def _list_desc(a: Any) -> d.VariantDesc:
     nil = d.Constructor(
         "[]",
         (),
-        embed=lambda nested: [],
+        embed=lambda args: [],
         proj=lambda xs: () if type(xs) is list and not xs else None,
     )
     return d.VariantDesc(
@@ -141,11 +138,17 @@ d.register(
 )
 
 
+def _array_length(xs: Any) -> int:
+    if type(xs) is not list:
+        raise MalformedValue(f"not an Array value: {xs!r}")
+    return len(xs)
+
+
 def _array_desc(a: Any) -> d.ArrayLikeDesc:
     return d.ArrayLikeDesc(
         a,
         d.ArrayOps(
-            length=len,
+            length=_array_length,
             get=lambda xs, i: xs[i],
             init=lambda n, f: [f(i) for i in range(n)],
         ),
@@ -219,22 +222,15 @@ class Rose:
 
 
 def _rtree_desc(a: Any) -> d.RecordDesc:
-    fields = (
-        d.Field("attr", a, set=lambda r, v: setattr(r, "attr", v)),
-        d.Field("children", List(Rtree(a))),
-    )
-    shape = d.fields_shape(fields)
+    fields = (d.Field("attr", a), d.Field("children", List(Rtree(a))))
 
-    def bck(r: Any) -> Any:
+    def bck(r: Any) -> tuple:
         if type(r) is not Rose:
             raise MalformedValue(f"not an Rtree value: {r!r}")
-        return shape.nest((r.attr, r.children))
+        return (r.attr, r.children)
 
     return d.RecordDesc(
-        "Rtree",
-        ("demo",),
-        fields,
-        d.Iso(fwd=lambda nested: Rose(*shape.flat(nested)), bck=bck),
+        "Rtree", ("demo",), fields, d.Iso(fwd=lambda args: Rose(*args), bck=bck)
     )
 
 
@@ -314,7 +310,7 @@ d.add_con(exn_desc, NOT_FOUND)
 
 
 def failure(message: str) -> d.ExtValue:
-    return FAILURE.embed((message, ()))
+    return FAILURE.embed((message,))
 
 
 NOT_FOUND_VALUE = NOT_FOUND.embed(())

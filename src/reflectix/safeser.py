@@ -307,25 +307,17 @@ class _Builder:
 
     def _node_for(self, dd: d.Desc, t: TypeRep, v: Any, path: str) -> ValueNode:
         if isinstance(dd, d.ScalarDesc):
+            d.check_leaf(dd.kind, v, path)
             if dd.kind == "int":
-                if not isinstance(v, int) or isinstance(v, bool):
-                    raise MalformedValue(f"at {path}: not an Int value: {v!r}")
                 if not _I64_MIN <= v <= _I64_MAX:
                     raise Incompatible(path, "64-bit integer", f"integer {v}")
                 return Imm(v)
             if dd.kind == "char":
-                if not isinstance(v, str) or len(v) != 1:
-                    raise MalformedValue(f"at {path}: not a Char value: {v!r}")
                 return Imm(ord(v))
-            if dd.kind == "float":
-                if not isinstance(v, float):
-                    raise MalformedValue(f"at {path}: not a Float value: {v!r}")
-                return Float(v)
-            raise MalformedValue(f"at {path}: unknown scalar kind {dd.kind}")
+            return Float(v)
         if isinstance(dd, d.ArrayLikeDesc):
             if dd.bytes_like:
-                if not isinstance(v, str):
-                    raise MalformedValue(f"at {path}: not a text value: {v!r}")
+                d.check_leaf("text", v, path)
                 try:
                     return Bytes(v.encode("utf-8"))
                 except UnicodeEncodeError:
@@ -334,14 +326,16 @@ class _Builder:
                     ) from None
             n = dd.ops.length(v)
             reps, flat = (dd.elem,) * n, [dd.ops.get(v, i) for i in range(n)]
-        elif isinstance(dd, (d.RecordDesc, d.ProductDesc)):
-            reps, flat = dd.shape.reps, dd.shape.flat(dd.iso.bck(v))
+        elif isinstance(dd, d.RecordDesc):
+            reps, flat = [f.ty for f in dd.fields], dd.iso.bck(v)
+        elif isinstance(dd, d.ProductDesc):
+            reps, flat = dd.shape.reps, dd.iso.bck(v)
         elif isinstance(dd, (d.VariantDesc, d.ExtensibleDesc)):
             ca = d.conap(dd, v)
             con = ca.con
             if isinstance(dd, d.VariantDesc) and con.arity == 0:
                 return Imm(dd.cst.index(con))
-            reps, flat = con.shape.reps, con.shape.flat(ca.args)
+            reps, flat = [f.ty for f in con.fields], ca.args
         else:
             raise NoDescriptor(f"at {path}: no descriptor for {render(t)}")
         refs = tuple(
@@ -392,20 +386,15 @@ def _resolve(
 ) -> tuple[TypeRep, d.Desc, Optional[d.Representation]]:
     """Follow synonyms from p; return the type reached, its descriptor,
     and its public representation if it is abstract."""
-    for _ in range(64):
-        dd = d.view_desc(p)
-        if isinstance(dd, d.SynonymDesc):
-            p = dd.target
-            continue
-        if dd is d.NO_DESC:
-            raise NoDescriptor(f"at {path}: no descriptor for {render(p)}")
-        if not isinstance(dd, d.AbstractDesc):
-            return p, dd, None
-        rep = d.try_repr(p)
-        if rep is None:
-            raise NoDescriptor(f"at {path}: {render(p)} has no public representation")
-        return p, dd, rep
-    raise NoDescriptor(f"synonym chain too long at {render(p)}")
+    p, dd = d.follow_synonyms(p)
+    if dd is d.NO_DESC:
+        raise NoDescriptor(f"at {path}: no descriptor for {render(p)}")
+    if not isinstance(dd, d.AbstractDesc):
+        return p, dd, None
+    rep = d.try_repr(p)
+    if rep is None:
+        raise NoDescriptor(f"at {path}: {render(p)} has no public representation")
+    return p, dd, rep
 
 
 def _ensure(st: ConvertState, n: int, p: TypePattern, path: str) -> None:
@@ -496,8 +485,7 @@ def _match_node(
                     f"{render(p)} constant tag below {dd.cst_len}",
                     f"Imm {node.value}",
                 )
-            con = dd.cst_get(node.value)
-            return [], lambda _: con.embed(())
+            return [], dd.cst_get(node.value).embed
         if not isinstance(node, Block):
             raise Incompatible(path, render(p), node_kind(node))
         if node.tag >= dd.ncst_len:
@@ -509,16 +497,17 @@ def _match_node(
         con = dd.ncst_get(node.tag)
         _arity(path, con, node, "Block arity")
     elif isinstance(dd, (d.RecordDesc, d.ProductDesc)):
-        shape, iso = dd.shape, dd.iso
+        prod = isinstance(dd, d.ProductDesc)
+        reps = dd.shape.reps if prod else [f.ty for f in dd.fields]
         if not isinstance(node, Block) or node.tag != 0:
             raise Incompatible(path, render(p), node_kind(node))
-        if len(node.fields) != len(shape.reps):
+        if len(node.fields) != len(reps):
             raise Incompatible(
                 path,
-                f"{render(p)} with {len(shape.reps)} fields",
+                f"{render(p)} with {len(reps)} fields",
                 f"Block arity {len(node.fields)}",
             )
-        return list(zip(node.fields, shape.reps)), lambda vs: iso.fwd(shape.nest(vs))
+        return list(zip(node.fields, reps)), dd.iso.fwd
     elif isinstance(dd, d.ExtensibleDesc):
         if not isinstance(node, ExtCon):
             raise Incompatible(path, render(p), node_kind(node))
@@ -527,7 +516,7 @@ def _match_node(
     else:
         raise NoDescriptor(f"at {path}: no descriptor for {render(p)}")
     fields = [(m, f.ty) for m, f in zip(node.fields, con.fields)]
-    return fields, lambda vs: con.embed(con.shape.nest(vs))
+    return fields, con.embed
 
 
 def check_compat(t: TypeRep, g: ValueGraph, root: Optional[int] = None) -> ConvertState:

@@ -54,7 +54,7 @@ def scrap(t: TypeRep, x: Any) -> Scrap:
 
         return Scrap([], rebuild_leaf)
     con = ca.con
-    flat = con.shape.flat(ca.args)
+    flat = ca.args
     positions = [
         i for i, f in enumerate(con.fields) if ty_equal(f.ty, t) is not None
     ]
@@ -68,7 +68,7 @@ def scrap(t: TypeRep, x: Any) -> Scrap:
         vals = list(flat)
         for i, v in zip(positions, new):
             vals[i] = v
-        return con.embed(con.shape.nest(vals))
+        return con.embed(vals)
 
     return Scrap([flat[i] for i in positions], rebuild)
 

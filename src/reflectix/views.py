@@ -12,12 +12,13 @@ synthetic constructor.
 Every view, and every traversal built on them, takes a value apart the
 same way: split(t, x) asks desc.conap for variants and the synthetic
 constructor for records and products, and calls everything else a leaf.
+Only the sum-of-products view nests the flat argument tuple in pairs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, Sequence
 
 from .desc import (
     NO_DESC,
@@ -28,17 +29,18 @@ from .desc import (
     Desc,
     ExtensibleDesc,
     Field,
+    Iso,
     ProductDesc,
     RecordDesc,
     ScalarDesc,
     SynonymDesc,
     VariantDesc,
     conap,
-    fields_shape,
+    follow_synonyms,
     try_repr,
     view_desc,
 )
-from .errors import NoMatchingConstructor, NoView, NoRepresentation
+from .errors import ArityMismatch, NoMatchingConstructor, NoView, NoRepresentation
 from .typerep import TypeRep, render
 
 # ---------------------------------------------------------------------------
@@ -124,6 +126,22 @@ class Right:
     value: Any
 
 
+def _nest(args: Sequence[Any]) -> Any:
+    """(a, b, c) as (a, (b, (c, ()))), the value form of a Prod chain."""
+    out: Any = ()
+    for v in reversed(args):
+        out = (v, out)
+    return out
+
+
+def _flat(nested: Any) -> tuple:
+    out = []
+    while nested:
+        v, nested = nested
+        out.append(v)
+    return tuple(out)
+
+
 def _prod_chain(items: list[SumProd]) -> SumProd:
     out: SumProd = UNIT
     for item in reversed(items):
@@ -137,6 +155,10 @@ def _con_sp(c: Constructor) -> SumProd:
 
 def _record_sp(fields: tuple[Field, ...]) -> SumProd:
     return _prod_chain([FieldTag(f.name, Delay(f.ty)) for f in fields])
+
+
+def _nested_iso(chain: SumProd, iso: Iso) -> IsoSP:
+    return IsoSP(chain, lambda s: iso.fwd(_flat(s)), lambda x: _nest(iso.bck(x)))
 
 
 def _sum_value(index: int, total: int, payload: Any) -> Any:
@@ -154,7 +176,9 @@ def sumprod(t: TypeRep) -> SumProd:
     Variants become right-nested sums of constructors, records become
     field-tagged products, scalars and arrays become Base, synonyms
     defer to their target, and abstract types with a representation
-    are viewed through it. Every constructor argument is delayed.
+    are viewed through it. Every constructor argument is delayed. bck
+    gives the arguments as pairs nested to the right and ending in (),
+    inside Left/Right for variants; fwd rebuilds the value from them.
     """
     dd = view_desc(t)
     if dd is NO_DESC:
@@ -188,7 +212,7 @@ def sumprod(t: TypeRep) -> SumProd:
 
         def bck(x: Any, _v=dd) -> Any:
             ca = conap(_v, x)
-            return _sum_value(_v.cons.index(ca.con), len(_v.cons), ca.args)
+            return _sum_value(_v.cons.index(ca.con), len(_v.cons), _nest(ca.args))
 
         def fwd(s: Any, _v=dd) -> Any:
             idx = 0
@@ -203,14 +227,13 @@ def sumprod(t: TypeRep) -> SumProd:
                         f"malformed sum value for {_v.name}"
                     )
                 s = s.value
-            return _v.cons[idx].embed(s)
+            return _v.cons[idx].embed(_flat(s))
 
         return IsoSP(structure, fwd=fwd, bck=bck)
     if isinstance(dd, RecordDesc):
-        return IsoSP(_record_sp(dd.fields), fwd=dd.iso.fwd, bck=dd.iso.bck)
+        return _nested_iso(_record_sp(dd.fields), dd.iso)
     if isinstance(dd, ProductDesc):
-        chain = _prod_chain([Delay(r) for r in dd.shape.reps])
-        return IsoSP(chain, fwd=dd.iso.fwd, bck=dd.iso.bck)
+        return _nested_iso(_prod_chain([Delay(r) for r in dd.shape.reps]), dd.iso)
     raise NoView(f"no sum-of-products view for {render(t)}")
 
 
@@ -257,11 +280,11 @@ Spine = Any  # ConNode | App
 def spine(t: TypeRep, x: Any) -> Spine:
     """Split x into constructor and argument applications.
 
-    Defined for variants, records, and bare products; the leftmost
-    argument sits innermost, so rebuild folds applications back on in
-    declaration order.
+    Defined for variants, records, bare products and their synonyms;
+    the leftmost argument sits innermost, so rebuild folds applications
+    back on in declaration order.
     """
-    dd = view_desc(t)
+    t, dd = follow_synonyms(t)
     ca = _split(t, dd, x)
     if ca is None:
         raise NoView(f"no spine view for {render(t)}")
@@ -276,9 +299,8 @@ def spine(t: TypeRep, x: Any) -> Spine:
     else:
         variant, module_path, kind, tag = t.head.name, t.head.module_path, "product", 0
     meta = ConMeta(con.name, variant, module_path, con.arity, kind, tag)
-    shape = con.shape
-    s: Spine = ConNode(lambda flat, _c=con: _c.embed(_c.shape.nest(flat)), meta)
-    for f, v in zip(con.fields, shape.flat(ca.args)):
+    s: Spine = ConNode(con.embed, meta)
+    for f, v in zip(con.fields, ca.args):
         s = App(s, f.ty, v)
     return s
 
@@ -289,6 +311,8 @@ def rebuild(s: Spine) -> Any:
     while isinstance(s, App):
         args.append(s.arg)
         s = s.fun
+    if len(args) != s.meta.arity:
+        raise ArityMismatch(f"{s.meta.name} expects {s.meta.arity} arguments")
     args.reverse()
     return s.fn(tuple(args))
 
@@ -333,8 +357,9 @@ def split(t: TypeRep, x: Any) -> Optional[ConApp]:
 
     Variants split through desc.conap; records and bare products
     through their synthetic constructor, whose proj is the type's
-    iso.bck. Types without constructors (scalars, arrays, extensible
-    and abstract types) are leaves and give None. A value outside t
-    raises MalformedValue.
+    iso.bck; synonyms, through the type they name. Types without
+    constructors (scalars, arrays, extensible and abstract types) are
+    leaves and give None. A value outside t raises MalformedValue.
     """
-    return _split(t, view_desc(t), x)
+    t, dd = follow_synonyms(t)
+    return _split(t, dd, x)

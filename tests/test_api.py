@@ -12,7 +12,7 @@ from reflectix import uniplate as up
 from reflectix import views as v
 from reflectix.errors import MalformedValue
 from reflectix.safeser import serialize
-from reflectix.typerep import Int, List, Pair, Unit
+from reflectix.typerep import Array, Char, Float, Int, List, Pair, String, Unit
 
 
 def test_every_exported_name_resolves():
@@ -33,18 +33,35 @@ ENTRY_POINTS = {
     "family_dyn": mp.family_dyn,
 }
 
-# Traversals treat extensible values as leaves and never look inside,
-# so for Exn only the entry points that take its values apart count.
+# Traversals treat extensible values and leaves as leaves and never
+# look inside, so for Exn, scalars, text and arrays only the entry
+# points that take their values apart count.
 NON_MEMBER_CASES = [
-    (name, t)
+    (name, t, 5)
     for t in (pl.Rtree(Int), Pair(Int, Int), List(Int), Unit)
     for name in ENTRY_POINTS
-] + [(name, pl.Exn) for name in ("serialize", "show", "equal")]
+] + [
+    (name, t, x)
+    for t, x in (
+        (pl.Exn, 5),
+        (Int, "x"),
+        (Int, True),
+        (String, 5),
+        (Char, 7),
+        (Float, 1),
+        (Array(Int), 5),
+    )
+    for name in ("serialize", "show", "equal")
+]
 
 
 @pytest.mark.parametrize(
-    "name,t", NON_MEMBER_CASES, ids=[f"{n}-{t!r}" for n, t in NON_MEMBER_CASES]
+    "name,t,x",
+    NON_MEMBER_CASES,
+    ids=[
+        f"{n}-{t!r}" if x == 5 else f"{n}-{t!r}-{x!r}" for n, t, x in NON_MEMBER_CASES
+    ],
 )
-def test_value_outside_its_type_is_malformed(name, t):
+def test_value_outside_its_type_is_malformed(name, t, x):
     with pytest.raises(MalformedValue):
-        ENTRY_POINTS[name](t, 5)
+        ENTRY_POINTS[name](t, x)

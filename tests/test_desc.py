@@ -1,4 +1,4 @@
-"""Descriptors: shapes, constructors, registries, representations."""
+"""Descriptors: products, constructors, registries, representations."""
 
 import random
 
@@ -8,7 +8,6 @@ from reflectix import desc as d
 from reflectix import prelude as pl
 from reflectix import views as v
 from reflectix.errors import (
-    ArityMismatch,
     DuplicateConstructor,
     DuplicateDescriptor,
     IndexOutOfRange,
@@ -17,34 +16,45 @@ from reflectix.errors import (
     UnknownConstructor,
 )
 from reflectix.exprlang import Add, Cst, Expr, Let, Neg, Sub, Var
-from reflectix.typerep import ANY, Bool, Int, List, Pair, String, declare
+from reflectix.generics import equal
+from reflectix.typerep import ANY, Bool, Int, List, Pair, String, Unit, declare
 
 from conftest import TYPED_GENERATORS, gen_exn
 
 
 def test_product_shape_nest_flat_inverse():
-    shape = d.ProductShape((Int, String, Bool))
-    nested = shape.nest((1, "a", True))
+    """Only the sum-of-products view nests: its bck gives right-nested
+    pairs and its fwd takes them back to the flat field tuple."""
+    Triple = declare("TripleDemo", 3, ("tests",))
+    d.register(
+        Triple,
+        lambda a, b, c: d.ProductDesc(
+            d.ProductShape((a, b, c)), d.Iso(fwd=tuple, bck=tuple)
+        ),
+    )
+    sp = v.sumprod(Triple(Int, String, Bool))
+    nested = sp.bck((1, "a", True))
     assert nested == (1, ("a", (True, ())))
-    assert shape.flat(nested) == (1, "a", True)
+    assert sp.fwd(nested) == (1, "a", True)
 
 
 def test_product_shape_empty_is_unit():
-    shape = d.ProductShape(())
-    assert shape.nest(()) == ()
-    assert shape.flat(()) == ()
+    sp = v.sumprod(Unit)
+    assert sp.inner is v.UNIT
+    assert sp.bck(()) == ()
+    assert sp.fwd(()) == ()
 
 
 def test_product_shape_arity_checked():
-    shape = d.ProductShape((Int, Int))
-    with pytest.raises(ArityMismatch):
-        shape.nest((1,))
+    sp = v.sumprod(Pair(Int, Int))
+    with pytest.raises(MalformedValue):
+        sp.bck((1,))
 
 
 def test_constructor_proj_inverts_embed():
     dd = d.view_desc(pl.Btree(Int))
     con = next(c for c in dd.cons if c.name == "Node")
-    args = con.shape.nest((pl.EMPTY, 5, pl.EMPTY))
+    args = (pl.EMPTY, 5, pl.EMPTY)
     v = con.embed(args)
     assert con.proj(v) == args
     # proj is partial: a value of the other constructor gives None
@@ -82,6 +92,8 @@ def test_conap_agrees_with_projection_scan():
             want_con, want_args = conap_oracle(cons, x)
             assert got.con.name == want_con.name
             assert got.args == want_args
+            assert len(got.args) == got.con.arity
+            assert equal(t, got.con.embed(got.args), x)
     expr = d.view_desc(Expr)
     samples = [
         Cst(3),
@@ -151,8 +163,8 @@ def test_list_classify_and_conap():
     assert dd.classify([1]) == ("ncst", 0)
     ca = d.conap(dd, [1, 2, 3])
     assert ca.con.name == "::"
-    head, (tail, unit) = ca.args
-    assert head == 1 and tail == [2, 3] and unit == ()
+    head, tail = ca.args
+    assert head == 1 and tail == [2, 3]
 
 
 def test_conap_rejects_misclassified_value():
@@ -256,24 +268,26 @@ def test_extensible_conap_and_reinstate():
     e = d.ext_create("Msg2", ("tests",))
     c = d.ext_constructor("Wrap", (Int,))
     d.add_con(e, c)
-    ca = d.conap(e, c.embed((5, ())))
-    assert ca.con is c and ca.args == (5, ())
+    ca = d.conap(e, c.embed((5,)))
+    assert ca.con is c and ca.args == (5,)
     with pytest.raises(MalformedValue):
         d.conap(e, 5)
+    with pytest.raises(MalformedValue):
+        d.conap(e, d.ExtValue(c, (5, 6)))
 
     # a foreign constructor with the same name: identity differs,
     # reinstate swaps in the registered one
     foreign = d.ext_constructor("Wrap", (Int,))
-    fv = d.ExtValue(foreign, (5, ()))
+    fv = d.ExtValue(foreign, (5,))
     assert fv.con is not c
     rv = d.reinstate(e, fv)
-    assert rv.con is c and rv.args == (5, ())
+    assert rv.con is c and rv.args == (5,)
 
 
 def test_exn_prelude_is_extensible():
     ca = d.conap(pl.exn_desc, pl.failure("boom"))
     assert ca.con.name == "Failure"
-    assert ca.args == ("boom", ())
+    assert ca.args == ("boom",)
     assert d.conap(pl.exn_desc, pl.NOT_FOUND_VALUE).con.name == "NotFound"
 
 
@@ -281,20 +295,17 @@ def test_record_fields_and_iso():
     dd = d.view_desc(pl.Rtree(Int))
     assert [f.name for f in dd.fields] == ["attr", "children"]
     r = pl.Rose(1, [])
-    nested = dd.iso.bck(r)
-    assert dd.iso.fwd(nested) == r
-    # attr is mutable through its field setter
-    dd.fields[0].set(r, 9)
-    assert r.attr == 9
-    assert dd.fields[1].set is None
+    args = dd.iso.bck(r)
+    assert args == (1, [])
+    assert dd.iso.fwd(args) == r
 
 
 def test_pair_product_desc():
     dd = d.view_desc(Pair(Int, String))
     assert isinstance(dd, d.ProductDesc)
     assert dd.shape.reps == (Int, String)
-    assert dd.iso.bck((1, "a")) == (1, ("a", ()))
-    assert dd.iso.fwd((1, ("a", ()))) == (1, "a")
+    assert dd.iso.bck((1, "a")) == (1, "a")
+    assert dd.iso.fwd([1, "a"]) == (1, "a")
 
 
 def test_scalar_descs():

@@ -135,7 +135,7 @@ def test_equal_extensible_by_registered_identity():
     from reflectix.errors import UnknownConstructor
 
     foreign = d.ext_constructor("Failure", (String,))
-    fv = foreign.embed(("x", ()))
+    fv = foreign.embed(("x",))
     assert g.equal(pl.Exn, pl.failure("x"), fv)
     assert g.equal(pl.Exn, pl.failure("x"), d.reinstate(pl.exn_desc, fv))
     stranger = d.ext_constructor("Unheard", ())

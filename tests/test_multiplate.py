@@ -11,7 +11,7 @@ def test_scrap_m_exposes_all_arguments():
     e = Let("x", Cst(1), Var("y"))
     s = mp.scrap_m(Expr, e)
     assert s.shape.reps == (String, Expr, Expr)
-    assert s.shape.flat(s.values) == ("x", Cst(1), Var("y"))
+    assert s.values == ("x", Cst(1), Var("y"))
     assert s.rebuild(s.values) == e
 
 

@@ -4,16 +4,28 @@ import random
 
 import pytest
 
+from reflectix import desc as d
+from reflectix import multiplate as mp
 from reflectix import views as v
 from reflectix import prelude as pl
 from reflectix.errors import (
+    ArityMismatch,
     MalformedValue,
     NoMatchingConstructor,
     NoRepresentation,
     NoView,
 )
 from reflectix.exprlang import Add, Cst, Expr, Var
-from reflectix.typerep import Bool, Int, List, Pair, String, render
+from reflectix.typerep import (
+    Bool,
+    EqualityWitness,
+    Int,
+    List,
+    Pair,
+    String,
+    declare,
+    render,
+)
 
 from conftest import TYPED_GENERATORS
 
@@ -141,6 +153,9 @@ def test_rebuild_inverts_spine():
         for _ in range(50):
             x = gen(rng, 3)
             assert v.rebuild(v.spine(t, x)) == x, render(t)
+    s = v.spine(Pair(Int, String), (1, "a"))
+    with pytest.raises(ArityMismatch):
+        v.rebuild(s.fun)
 
 
 def test_spine_meta_identifies_constructor():
@@ -195,7 +210,7 @@ def test_conlist_empty_for_scalars():
 
 def test_split_takes_list_values_apart():
     ca = v.split(List(Int), [1, 2])
-    assert ca.con.name == "::" and ca.args == (1, ([2], ()))
+    assert ca.con.name == "::" and ca.args == (1, [2])
     ca2 = v.split(List(Int), [])
     assert ca2.con.name == "[]" and ca2.args == ()
     with pytest.raises(MalformedValue):
@@ -204,8 +219,22 @@ def test_split_takes_list_values_apart():
 
 def test_split_records_products_and_leaves():
     ca = v.split(pl.Rtree(Int), pl.Rose(1, []))
-    assert ca.con.name == "Rtree" and ca.args == (1, ([], ()))
+    assert ca.con.name == "Rtree" and ca.args == (1, [])
     ca = v.split(Pair(Int, String), (1, "a"))
-    assert ca.con.name == "Pair" and ca.args == (1, ("a", ()))
+    assert ca.con.name == "Pair" and ca.args == (1, "a")
     assert v.split(Int, 3) is None
     assert v.split(pl.Exn, pl.NOT_FOUND_VALUE) is None
+
+
+def test_split_and_spine_follow_synonyms():
+    IntList = declare("IntListDemo", 0, ("tests",))
+    d.register(
+        IntList, lambda: d.SynonymDesc(List(Int), EqualityWitness(IntList, List(Int)))
+    )
+    value = ([1, 2], 3)
+    assert len(mp.family_dyn(Pair(IntList, Int), value)) == 7
+    assert len(mp.family_dyn(Pair(List(Int), Int), value)) == 7
+    assert v.split(IntList, [1, 2]).con.name == "::"
+    s = v.spine(IntList, [1, 2])
+    assert s.fun.fun.meta.name == "::"
+    assert v.rebuild(s) == [1, 2]
