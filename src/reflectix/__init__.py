@@ -17,9 +17,7 @@ from .desc import (
     ExtensibleDesc,
     ExtValue,
     Field,
-    Iso,
     ProductDesc,
-    ProductShape,
     RecordDesc,
     Representation,
     ScalarDesc,
@@ -87,10 +85,8 @@ __all__ = [
     "Float",
     "Head",
     "Imm",
-    "Iso",
     "NO_DESC",
     "ProductDesc",
-    "ProductShape",
     "RecordDesc",
     "ReflectixError",
     "Representation",

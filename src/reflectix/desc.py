@@ -4,12 +4,14 @@ Every serializable or traversable type is registered here under its
 head, as a builder from argument representations to a descriptor that
 says what the type is made of: a variant with tagged constructors, a
 record, a bare product, an array, an open (extensible) constructor set,
-a synonym, a scalar, or an abstract name.
+a synonym, a scalar, or an abstract name. A record or bare product is a
+type with exactly one constructor.
 
 Constructors carry an embed/proj pair between values and argument
-tuples in field order, so generic code can take values apart and
-rebuild them without knowing the concrete Python classes involved.
-Only the sum-of-products view (views.sumprod) nests them in pairs.
+tuples in field order, so generic code can take values apart with
+conap and rebuild them without knowing the concrete Python classes
+involved. Only the sum-of-products view (views.sumprod) nests them in
+pairs.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .errors import (
     MalformedValue,
     NoDescriptor,
     NoRepresentation,
+    NoView,
     UnknownConstructor,
 )
 from .typerep import (
@@ -37,25 +40,6 @@ from .typerep import (
     TypeRep,
     render,
 )
-
-
-# ---------------------------------------------------------------------------
-# Products
-
-
-@dataclass(frozen=True)
-class ProductShape:
-    """An ordered tuple of component types."""
-
-    reps: tuple[TypePattern, ...]
-
-
-@dataclass(frozen=True)
-class Iso:
-    """An isomorphism between a user-facing value and its field tuple."""
-
-    fwd: Callable[[Any], Any]
-    bck: Callable[[Any], Any]
 
 
 # ---------------------------------------------------------------------------
@@ -165,27 +149,19 @@ class VariantDesc(Desc):
 
 @dataclass(frozen=True)
 class RecordDesc(Desc):
-    """Named fields plus an isomorphism to the field tuple.
-
-    iso.bck raises MalformedValue on a value outside the type, as a
-    variant's classify does.
-    """
+    """A named type with one constructor, whose fields are named."""
 
     name: str
     module_path: tuple[str, ...]
-    fields: FieldList
-    iso: Iso
+    con: Constructor
 
 
 @dataclass(frozen=True)
 class ProductDesc(Desc):
-    """A bare tuple type; iso maps the user value to its component tuple.
+    """A bare tuple type: one constructor, named after the type's head,
+    with positional fields."""
 
-    iso.bck raises MalformedValue on a value outside the type.
-    """
-
-    shape: ProductShape
-    iso: Iso
+    con: Constructor
 
 
 @dataclass(frozen=True)
@@ -361,26 +337,41 @@ def try_repr(t: TypeRep) -> Optional[Representation]:
 # Taking values apart
 
 
-def conap(dd: VariantDesc | ExtensibleDesc, x: Any) -> ConApp:
+def conap(dd: Desc, x: Any) -> ConApp:
     """Split x into its constructor and argument tuple.
 
-    The one way to take a value apart. Runs in constant time: a
-    variant's classify yields the tag and the tag indexes the
-    constructor table; an extensible value names its constructor,
-    which is looked up in the registry. That constructor's proj then
-    extracts the arguments. A value outside the type raises
-    MalformedValue.
+    The one way to take a value apart, for variant, extensible, record
+    and bare product descriptors. Runs in constant time: a variant's
+    classify yields the tag and the tag indexes the constructor table;
+    an extensible value names its constructor, which is looked up in
+    the registry; a record or product has one constructor. That
+    constructor's proj then extracts the arguments. A value outside
+    the type raises MalformedValue; a descriptor without constructors
+    raises NoView.
+
+    >>> from reflectix.prelude import Rose, Rtree
+    >>> from reflectix.typerep import Int, List, Pair
+    >>> conap(view_desc(List(Int)), [1, 2])
+    ConApp(con=<constructor ::/2>, args=(1, [2]))
+    >>> conap(view_desc(Rtree(Int)), Rose(7, []))
+    ConApp(con=<constructor Rtree/2>, args=(7, []))
+    >>> conap(view_desc(Pair(Int, Int)), (1, 2))
+    ConApp(con=<constructor Pair/2>, args=(1, 2))
     """
-    if isinstance(dd, ExtensibleDesc):
+    if isinstance(dd, VariantDesc):
+        kind, tag = dd.classify(x)
+        con = dd.cst_get(tag) if kind == "cst" else dd.ncst_get(tag)
+    elif isinstance(dd, (RecordDesc, ProductDesc)):
+        con = dd.con
+    elif isinstance(dd, ExtensibleDesc):
         if not isinstance(x, ExtValue):
             raise MalformedValue(f"not a {dd.name} value: {x!r}")
         con = ext_find(dd, x.con.name)
     else:
-        kind, tag = dd.classify(x)
-        con = dd.cst_get(tag) if kind == "cst" else dd.ncst_get(tag)
+        raise NoView(f"{dd!r} has no constructors")
     args = con.proj(x)
     if args is None:
-        raise MalformedValue(f"{dd.name} value does not project as {con.name}")
+        raise MalformedValue(f"not a {con.name} value: {x!r}")
     return ConApp(con, args)
 
 

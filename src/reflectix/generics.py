@@ -73,10 +73,15 @@ def show(t: TypeRep, x: Any) -> str:
     return show_fun.apply(t, x)
 
 
+def _quoted(text: str, quote: str) -> str:
+    """text between quotes, with backslashes and the quote escaped."""
+    return quote + text.replace("\\", "\\\\").replace(quote, "\\" + quote) + quote
+
+
 show_fun.extend(Int, lambda t, x: str(check_leaf("int", x)))
 show_fun.extend(Float, lambda t, x: repr(check_leaf("float", x)))
-show_fun.extend(Char, lambda t, x: f"'{check_leaf('char', x)}'")
-show_fun.extend(String, lambda t, x: f'"{check_leaf("text", x)}"')
+show_fun.extend(Char, lambda t, x: _quoted(check_leaf("char", x), "'"))
+show_fun.extend(String, lambda t, x: _quoted(check_leaf("text", x), '"'))
 show_fun.extend(Fun(ANY, ANY), lambda t, x: "<fun>")
 
 
@@ -91,17 +96,23 @@ show_fun.extend(List(ANY), _show_list)
 
 def _show_generic(t: TypeRep, x: Any) -> str:
     dd = view_desc(t)
-    if isinstance(dd, (VariantDesc, ExtensibleDesc)):
+    if isinstance(dd, (VariantDesc, ExtensibleDesc, RecordDesc, ProductDesc)):
         ca = conap(dd, x)
-        if ca.con.arity == 0:
+        fields = ca.con.fields
+        parts = [show(f.ty, v) for f, v in zip(fields, ca.args)]
+        if isinstance(dd, RecordDesc):
+            named = [f"{f.name} = {s}" for f, s in zip(fields, parts)]
+            return "{" + "; ".join(named) + "}"
+        if isinstance(dd, ProductDesc):
+            return "(" + ", ".join(parts) + ")"
+        if not parts:
             return ca.con.name
-        parts = [show(f.ty, v) for f, v in zip(ca.con.fields, ca.args)]
         return f"{ca.con.name} ({', '.join(parts)})"
     if isinstance(dd, ScalarDesc):
         return repr(check_leaf(dd.kind, x))
     if isinstance(dd, ArrayLikeDesc):
         if dd.bytes_like:
-            return f'"{check_leaf("text", x)}"'
+            return _quoted(check_leaf("text", x), '"')
         n = dd.ops.length(x)
         return "[|" + "; ".join(show(dd.elem, dd.ops.get(x, i)) for i in range(n)) + "|]"
     if isinstance(dd, SynonymDesc):
@@ -111,14 +122,6 @@ def _show_generic(t: TypeRep, x: Any) -> str:
         if rep is None:
             raise NotSupported(show_fun.doc, render(t))
         return f"{dd.name}({show(rep.repr_ty, rep.to_repr(x))})"
-    if isinstance(dd, RecordDesc):
-        inner = "; ".join(
-            f"{f.name} = {show(f.ty, v)}" for f, v in zip(dd.fields, dd.iso.bck(x))
-        )
-        return "{" + inner + "}"
-    if isinstance(dd, ProductDesc):
-        vals = dd.iso.bck(x)
-        return "(" + ", ".join(show(r, v) for r, v in zip(dd.shape.reps, vals)) + ")"
     raise NotSupported(show_fun.doc, render(t))
 
 

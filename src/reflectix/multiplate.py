@@ -1,9 +1,11 @@
 """Traversals over all constructor arguments, not just same-typed ones.
 
 scrap_m splits a value into the flat tuple of every constructor
-argument with its type, plus a rebuild function. A Plate
-is a type-dispatched effectful transformation, total by construction:
-types it does not mention pass through untouched. Plates compose into
+argument and the tuple of their types, plus a rebuild function that
+checks its argument count. Records and bare products split like
+variants, through their one constructor. A Plate is a type-dispatched
+effectful transformation, total by construction: types it does not
+mention pass through untouched. Plates compose into
 children- and family-level traversals, folds, and paramorphisms, and
 open recursion lets one override the traversal at chosen types while
 the default plate carries it everywhere else.
@@ -12,9 +14,8 @@ the default plate carries it everywhere else.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, Sequence
 
-from .desc import ProductShape
 from .effects import (
     ApplicativeDict,
     Effectful,
@@ -29,6 +30,7 @@ from .effects import (
     liftA2,
     run_identity,
 )
+from .errors import ArityMismatch
 from .typerep import Dyn, TypeRep
 from .views import split
 
@@ -37,8 +39,8 @@ from .views import split
 class Scrapped:
     """All constructor arguments of a value, typed, plus rebuild."""
 
-    shape: ProductShape
-    values: tuple  # one argument per component of shape, in order
+    reps: tuple  # the type of each constructor argument, in order
+    values: tuple  # one argument per type in reps
     rebuild: Callable[[Any], Any]
 
 
@@ -46,13 +48,28 @@ def scrap_m(t: TypeRep, x: Any) -> Scrapped:
     """Split x into every constructor argument with its type.
 
     Types without constructors are leaves: no arguments, and rebuild
-    returns x unchanged.
+    returns x unchanged. rebuild raises ArityMismatch when handed the
+    wrong number of arguments.
     """
     ca = split(t, x)
     if ca is None:
-        return Scrapped(ProductShape(()), (), lambda _args: x)
-    reps = tuple(f.ty for f in ca.con.fields)
-    return Scrapped(ProductShape(reps), ca.args, ca.con.embed)
+        return Scrapped((), (), _checked("leaf", 0, lambda _args: x))
+    con = ca.con
+    reps = tuple(f.ty for f in con.fields)
+    return Scrapped(reps, ca.args, _checked(con.name, con.arity, con.embed))
+
+
+def _checked(name: str, arity: int, embed: Callable[[Sequence[Any]], Any]) -> Callable:
+    """embed, refusing an argument sequence of the wrong length."""
+
+    def rebuild(args: Sequence[Any]) -> Any:
+        if len(args) != arity:
+            raise ArityMismatch(
+                f"{name} rebuild expects {arity} arguments, got {len(args)}"
+            )
+        return embed(args)
+
+    return rebuild
 
 
 @dataclass(frozen=True)
@@ -113,7 +130,7 @@ def traverse_children_p(a: ApplicativeDict, p: Plate) -> Plate:
 
     def run(t: TypeRep, x: Any) -> Any:
         s = scrap_m(t, x)
-        eff = _traverse_product(a, p, s.shape.reps, s.values)
+        eff = _traverse_product(a, p, s.reps, s.values)
         return fmap(a, s.rebuild, eff)
 
     return Plate(run)
@@ -178,7 +195,7 @@ def para_p(step: ConstPlate) -> ConstPlate:
 
     def run(t: TypeRep, x: Any) -> Any:
         s = scrap_m(t, x)
-        rs = [run(r, v) for r, v in zip(s.shape.reps, s.values)]
+        rs = [run(r, v) for r, v in zip(s.reps, s.values)]
         return step.run(t, x)(rs)
 
     return ConstPlate(run)
@@ -187,7 +204,7 @@ def para_p(step: ConstPlate) -> ConstPlate:
 def children_dyn(t: TypeRep, x: Any) -> list[Dyn]:
     """Every constructor argument as a typed dynamic value."""
     s = scrap_m(t, x)
-    return [Dyn(r, v) for r, v in zip(s.shape.reps, s.values)]
+    return [Dyn(r, v) for r, v in zip(s.reps, s.values)]
 
 
 def family_dyn(t: TypeRep, x: Any) -> list[Dyn]:

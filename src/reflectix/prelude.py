@@ -68,17 +68,18 @@ d.register(
 # Unit and pairs: bare products over Python tuples.
 
 
-def _tuple_desc(*reps: Any) -> d.ProductDesc:
-    def bck(p: Any) -> tuple:
-        if not isinstance(p, tuple) or len(p) != len(reps):
-            raise MalformedValue(f"not a {len(reps)}-tuple: {p!r}")
-        return p
+def _tuple_desc(name: str, *reps: Any) -> d.ProductDesc:
+    n = len(reps)
 
-    return d.ProductDesc(d.ProductShape(reps), d.Iso(fwd=tuple, bck=bck))
+    def proj(p: Any) -> Optional[tuple]:
+        return p if isinstance(p, tuple) and len(p) == n else None
+
+    fields = tuple(d.Field("", r) for r in reps)
+    return d.ProductDesc(d.Constructor(name, fields, tuple, proj))
 
 
-d.register(Unit, _tuple_desc)
-d.register(Pair, _tuple_desc)
+d.register(Unit, lambda: _tuple_desc("Unit"))
+d.register(Pair, lambda a, b: _tuple_desc("Pair", a, b))
 
 # ---------------------------------------------------------------------------
 # Lists: Python lists viewed as nil/cons cells.
@@ -224,14 +225,11 @@ class Rose:
 def _rtree_desc(a: Any) -> d.RecordDesc:
     fields = (d.Field("attr", a), d.Field("children", List(Rtree(a))))
 
-    def bck(r: Any) -> tuple:
-        if type(r) is not Rose:
-            raise MalformedValue(f"not an Rtree value: {r!r}")
-        return (r.attr, r.children)
+    def proj(r: Any) -> Optional[tuple]:
+        return (r.attr, r.children) if type(r) is Rose else None
 
-    return d.RecordDesc(
-        "Rtree", ("demo",), fields, d.Iso(fwd=lambda args: Rose(*args), bck=bck)
-    )
+    con = d.Constructor("Rtree", fields, lambda args: Rose(*args), proj)
+    return d.RecordDesc("Rtree", ("demo",), con)
 
 
 d.register(Rtree, _rtree_desc)

@@ -326,11 +326,9 @@ class _Builder:
                     ) from None
             n = dd.ops.length(v)
             reps, flat = (dd.elem,) * n, [dd.ops.get(v, i) for i in range(n)]
-        elif isinstance(dd, d.RecordDesc):
-            reps, flat = [f.ty for f in dd.fields], dd.iso.bck(v)
-        elif isinstance(dd, d.ProductDesc):
-            reps, flat = dd.shape.reps, dd.iso.bck(v)
-        elif isinstance(dd, (d.VariantDesc, d.ExtensibleDesc)):
+        elif isinstance(
+            dd, (d.VariantDesc, d.ExtensibleDesc, d.RecordDesc, d.ProductDesc)
+        ):
             ca = d.conap(dd, v)
             con = ca.con
             if isinstance(dd, d.VariantDesc) and con.arity == 0:
@@ -497,17 +495,10 @@ def _match_node(
         con = dd.ncst_get(node.tag)
         _arity(path, con, node, "Block arity")
     elif isinstance(dd, (d.RecordDesc, d.ProductDesc)):
-        prod = isinstance(dd, d.ProductDesc)
-        reps = dd.shape.reps if prod else [f.ty for f in dd.fields]
         if not isinstance(node, Block) or node.tag != 0:
             raise Incompatible(path, render(p), node_kind(node))
-        if len(node.fields) != len(reps):
-            raise Incompatible(
-                path,
-                f"{render(p)} with {len(reps)} fields",
-                f"Block arity {len(node.fields)}",
-            )
-        return list(zip(node.fields, reps)), dd.iso.fwd
+        con = dd.con
+        _arity(path, con, node, "Block arity")
     elif isinstance(dd, d.ExtensibleDesc):
         if not isinstance(node, ExtCon):
             raise Incompatible(path, render(p), node_kind(node))

@@ -6,13 +6,12 @@ a closed term built from sums, products, and isomorphisms, with every
 constructor argument position delayed behind its type representation.
 The spine view splits one value into a constructor node and a chain of
 argument applications. The constructor-list view flattens everything
-to a list of constructors, giving records and bare products a single
-synthetic constructor.
+to a list of constructors; a record or bare product has exactly one.
 
 Every view, and every traversal built on them, takes a value apart the
-same way: split(t, x) asks desc.conap for variants and the synthetic
-constructor for records and products, and calls everything else a leaf.
-Only the sum-of-products view nests the flat argument tuple in pairs.
+same way: split(t, x) asks desc.conap for variants, records and bare
+products, and calls everything else a leaf. Only the sum-of-products
+view nests the flat argument tuple in pairs.
 """
 
 from __future__ import annotations
@@ -26,10 +25,7 @@ from .desc import (
     ArrayLikeDesc,
     ConApp,
     Constructor,
-    Desc,
     ExtensibleDesc,
-    Field,
-    Iso,
     ProductDesc,
     RecordDesc,
     ScalarDesc,
@@ -153,14 +149,6 @@ def _con_sp(c: Constructor) -> SumProd:
     return Con(c.name, _prod_chain([Delay(f.ty) for f in c.fields]))
 
 
-def _record_sp(fields: tuple[Field, ...]) -> SumProd:
-    return _prod_chain([FieldTag(f.name, Delay(f.ty)) for f in fields])
-
-
-def _nested_iso(chain: SumProd, iso: Iso) -> IsoSP:
-    return IsoSP(chain, lambda s: iso.fwd(_flat(s)), lambda x: _nest(iso.bck(x)))
-
-
 def _sum_value(index: int, total: int, payload: Any) -> Any:
     """Wrap a constructor's nested arguments as a Left/Right chain."""
     if total == 1:
@@ -230,12 +218,23 @@ def sumprod(t: TypeRep) -> SumProd:
             return _v.cons[idx].embed(_flat(s))
 
         return IsoSP(structure, fwd=fwd, bck=bck)
-    if isinstance(dd, RecordDesc):
-        return _nested_iso(_record_sp(dd.fields), dd.iso)
-    if isinstance(dd, ProductDesc):
-        return _nested_iso(_prod_chain([Delay(r) for r in dd.shape.reps]), dd.iso)
+    if isinstance(dd, (RecordDesc, ProductDesc)):
+        con = dd.con
+        items: list[SumProd] = [Delay(f.ty) for f in con.fields]
+        if isinstance(dd, RecordDesc):
+            items = [FieldTag(f.name, i) for f, i in zip(con.fields, items)]
+        return IsoSP(
+            _prod_chain(items),
+            fwd=lambda s: con.embed(_flat(s)),
+            bck=lambda x: _nest(conap(dd, x).args),
+        )
     raise NoView(f"no sum-of-products view for {render(t)}")
 
+
+# The descriptors whose values split into a constructor and arguments.
+# Extensible values have constructors too, but the views and traversals
+# keep them as leaves.
+_CLOSED = (VariantDesc, RecordDesc, ProductDesc)
 
 # ---------------------------------------------------------------------------
 # Spine view
@@ -285,9 +284,9 @@ def spine(t: TypeRep, x: Any) -> Spine:
     back on in declaration order.
     """
     t, dd = follow_synonyms(t)
-    ca = _split(t, dd, x)
-    if ca is None:
+    if not isinstance(dd, _CLOSED):
         raise NoView(f"no spine view for {render(t)}")
+    ca = conap(dd, x)
     con = ca.con
     if isinstance(dd, VariantDesc):
         variant = dd.name
@@ -321,45 +320,28 @@ def rebuild(s: Spine) -> Any:
 # List-of-constructors view
 
 
-def _synthetic(t: TypeRep, dd: Desc) -> Optional[Constructor]:
-    """The single constructor a record or bare product presents."""
-    if isinstance(dd, RecordDesc):
-        return Constructor(dd.name, dd.fields, dd.iso.fwd, dd.iso.bck)
-    if isinstance(dd, ProductDesc):
-        fields = tuple(Field("", r) for r in dd.shape.reps)
-        return Constructor(t.head.name, fields, dd.iso.fwd, dd.iso.bck)
-    return None
-
-
 def conlist(t: TypeRep) -> list[Constructor]:
-    """All constructors of t.
+    """All constructors of t, past its synonyms.
 
     Variants list theirs in declaration order; records and bare
-    products present a single synthetic constructor; every other
-    category, extensible types included, has none.
+    products have their one constructor; every other category,
+    extensible types included, has none.
     """
-    dd = view_desc(t)
+    dd = follow_synonyms(t)[1]
     if isinstance(dd, VariantDesc):
         return list(dd.cons)
-    c = _synthetic(t, dd)
-    return [] if c is None else [c]
-
-
-def _split(t: TypeRep, dd: Desc, x: Any) -> Optional[ConApp]:
-    if isinstance(dd, VariantDesc):
-        return conap(dd, x)
-    c = _synthetic(t, dd)
-    return None if c is None else ConApp(c, c.proj(x))
+    if isinstance(dd, (RecordDesc, ProductDesc)):
+        return [dd.con]
+    return []
 
 
 def split(t: TypeRep, x: Any) -> Optional[ConApp]:
     """Which constructor of t built x, and with what arguments.
 
-    Variants split through desc.conap; records and bare products
-    through their synthetic constructor, whose proj is the type's
-    iso.bck; synonyms, through the type they name. Types without
-    constructors (scalars, arrays, extensible and abstract types) are
-    leaves and give None. A value outside t raises MalformedValue.
+    Variants, records and bare products split through desc.conap;
+    synonyms, through the type they name. Types without constructors
+    (scalars, arrays, extensible and abstract types) are leaves and
+    give None. A value outside t raises MalformedValue.
     """
-    t, dd = follow_synonyms(t)
-    return _split(t, dd, x)
+    dd = follow_synonyms(t)[1]
+    return conap(dd, x) if isinstance(dd, _CLOSED) else None

@@ -10,7 +10,8 @@ from reflectix import multiplate as mp
 from reflectix import prelude as pl
 from reflectix import uniplate as up
 from reflectix import views as v
-from reflectix.errors import MalformedValue
+from reflectix.desc import conap, view_desc
+from reflectix.errors import MalformedValue, ReflectixError
 from reflectix.safeser import serialize
 from reflectix.typerep import Array, Char, Float, Int, List, Pair, String, Unit
 
@@ -21,6 +22,7 @@ def test_every_exported_name_resolves():
 
 
 ENTRY_POINTS = {
+    "conap": lambda t, x: conap(view_desc(t), x),
     "serialize": serialize,
     "show": g.show,
     "equal": lambda t, x: g.equal(t, x, x),
@@ -65,3 +67,8 @@ NON_MEMBER_CASES = [
 def test_value_outside_its_type_is_malformed(name, t, x):
     with pytest.raises(MalformedValue):
         ENTRY_POINTS[name](t, x)
+
+
+def test_conap_without_constructors_is_a_library_error():
+    with pytest.raises(ReflectixError):
+        conap(view_desc(Int), 5)

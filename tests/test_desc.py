@@ -29,7 +29,9 @@ def test_product_shape_nest_flat_inverse():
     d.register(
         Triple,
         lambda a, b, c: d.ProductDesc(
-            d.ProductShape((a, b, c)), d.Iso(fwd=tuple, bck=tuple)
+            d.Constructor(
+                "TripleDemo", tuple(d.Field("", r) for r in (a, b, c)), tuple, tuple
+            )
         ),
     )
     sp = v.sumprod(Triple(Int, String, Bool))
@@ -71,9 +73,9 @@ def conap_oracle(cons, x):
 
 
 def test_conap_agrees_with_projection_scan():
-    """conap (through views.split for records and products) picks the
-    constructor a scan of every projection would, for every generated
-    type with constructors and for the extensible Exn."""
+    """conap picks the constructor a scan of every projection would,
+    for every generated type, records and products included, and for
+    the extensible Exn."""
     rng = random.Random(12)
     cases = [(t, gen) for t, gen in TYPED_GENERATORS if v.conlist(t)]
     assert len(cases) == len(TYPED_GENERATORS)
@@ -85,10 +87,7 @@ def test_conap_agrees_with_projection_scan():
             cons = v.conlist(t)
         for _ in range(40):
             x = gen(rng, 3)
-            if isinstance(dd, (d.VariantDesc, d.ExtensibleDesc)):
-                got = d.conap(dd, x)
-            else:
-                got = v.split(t, x)
+            got = d.conap(dd, x)
             want_con, want_args = conap_oracle(cons, x)
             assert got.con.name == want_con.name
             assert got.args == want_args
@@ -293,19 +292,19 @@ def test_exn_prelude_is_extensible():
 
 def test_record_fields_and_iso():
     dd = d.view_desc(pl.Rtree(Int))
-    assert [f.name for f in dd.fields] == ["attr", "children"]
+    assert [f.name for f in dd.con.fields] == ["attr", "children"]
     r = pl.Rose(1, [])
-    args = dd.iso.bck(r)
+    args = dd.con.proj(r)
     assert args == (1, [])
-    assert dd.iso.fwd(args) == r
+    assert dd.con.embed(args) == r
 
 
 def test_pair_product_desc():
     dd = d.view_desc(Pair(Int, String))
     assert isinstance(dd, d.ProductDesc)
-    assert dd.shape.reps == (Int, String)
-    assert dd.iso.bck((1, "a")) == (1, "a")
-    assert dd.iso.fwd([1, "a"]) == (1, "a")
+    assert [f.ty for f in dd.con.fields] == [Int, String]
+    assert dd.con.proj((1, "a")) == (1, "a")
+    assert dd.con.embed([1, "a"]) == (1, "a")
 
 
 def test_scalar_descs():

@@ -32,6 +32,20 @@ def test_show_scalars():
     assert g.show(String, "hi") == '"hi"'
 
 
+def test_show_escapes_text():
+    from reflectix import desc as d
+    from reflectix.typerep import declare
+
+    assert g.show(Char, "'") == "'\\''"
+    assert g.show(Char, "\\") == "'\\\\'"
+    assert g.show(Char, '"') == "'\"'"
+    assert g.show(String, 'a"b') == '"a\\"b"'
+    assert g.show(String, "a\\b'") == '"a\\\\b\'"'
+    Text = declare("TextDemo", 0, ("tests",))
+    d.register(Text, lambda: d.view_desc(String))
+    assert g.show(Text, 'a"b') == '"a\\"b"'
+
+
 def test_show_list_and_pair():
     assert g.show(List(Int), [1, 2, 3]) == "[1; 2; 3]"
     assert g.show(List(Int), []) == "[]"

@@ -1,24 +1,39 @@
 """Heterogeneous traversals: plates, folds, dynamics, open recursion."""
 
+import pytest
+
 from reflectix import effects as fx
 from reflectix import multiplate as mp
 from reflectix import prelude as pl
+from reflectix.errors import ArityMismatch
 from reflectix.exprlang import Add, Cst, Expr, Let, Neg, Var
-from reflectix.typerep import Dyn, Int, List, String
+from reflectix.typerep import Dyn, Int, List, Pair, String
 
 
 def test_scrap_m_exposes_all_arguments():
     e = Let("x", Cst(1), Var("y"))
     s = mp.scrap_m(Expr, e)
-    assert s.shape.reps == (String, Expr, Expr)
+    assert s.reps == (String, Expr, Expr)
     assert s.values == ("x", Cst(1), Var("y"))
     assert s.rebuild(s.values) == e
 
 
 def test_scrap_m_leaf():
     s = mp.scrap_m(Int, 5)
-    assert s.shape.reps == ()
+    assert s.reps == ()
     assert s.rebuild(()) == 5
+
+
+def test_scrap_m_rebuild_checks_arity():
+    cases = [
+        (Expr, Let("x", Cst(1), Var("y")), ("x",)),
+        (pl.Rtree(Int), pl.Rose(1, []), (1,)),
+        (Pair(Int, Int), (1, 2), (1,)),
+        (Int, 5, (1,)),
+    ]
+    for t, x, args in cases:
+        with pytest.raises(ArityMismatch):
+            mp.scrap_m(t, x).rebuild(args)
 
 
 def test_pure_plate_is_identity():

@@ -235,6 +235,7 @@ def test_split_and_spine_follow_synonyms():
     assert len(mp.family_dyn(Pair(IntList, Int), value)) == 7
     assert len(mp.family_dyn(Pair(List(Int), Int), value)) == 7
     assert v.split(IntList, [1, 2]).con.name == "::"
+    assert [c.name for c in v.conlist(IntList)] == ["[]", "::"]
     s = v.spine(IntList, [1, 2])
     assert s.fun.fun.meta.name == "::"
     assert v.rebuild(s) == [1, 2]
