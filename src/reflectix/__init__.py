@@ -11,7 +11,6 @@ from .desc import (
     NO_DESC,
     AbstractDesc,
     ArrayLikeDesc,
-    ArrayOps,
     ConApp,
     Constructor,
     ExtensibleDesc,
@@ -69,7 +68,6 @@ __all__ = [
     "ANY",
     "AbstractDesc",
     "ArrayLikeDesc",
-    "ArrayOps",
     "Block",
     "Bytes",
     "ConApp",

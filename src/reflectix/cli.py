@@ -21,7 +21,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from . import exprlang, safeser
 from .errors import (
@@ -138,26 +138,25 @@ def _fuel() -> int:
         raise ReflectixError(f"REFLECTIX_FUEL is not an integer: {raw!r}") from None
 
 
+# Each pass maps a parsed term to the lines it prints. The lambdas look
+# exprlang's functions up on every call, so rebinding one is seen here.
+PASSES: dict[str, Callable[[Any], list]] = {
+    "simplify": lambda e: [exprlang.print_expr(exprlang.simplify(e))],
+    "const-fold": lambda e: [exprlang.print_expr(exprlang.const_fold(e))],
+    "simplify-more": lambda e: [
+        exprlang.print_expr(exprlang.simplify_more(e, fuel=_fuel()))
+    ],
+    "abstract": lambda e: [exprlang.print_expr(exprlang.abstract_constants(e)[0])],
+    "free-vars": lambda e: exprlang.free_vars(e),
+    "constants": lambda e: exprlang.constants(e),
+    "height": lambda e: [exprlang.height(e)],
+}
+
+
 def cmd_demo_expr(args: argparse.Namespace) -> int:
     e = exprlang.parse_expr(_read_text(args.file))
-    name = args.pass_name
-    if name == "simplify":
-        print(exprlang.print_expr(exprlang.simplify(e)))
-    elif name == "const-fold":
-        print(exprlang.print_expr(exprlang.const_fold(e)))
-    elif name == "simplify-more":
-        print(exprlang.print_expr(exprlang.simplify_more(e, fuel=_fuel())))
-    elif name == "abstract":
-        out, _count = exprlang.abstract_constants(e)
-        print(exprlang.print_expr(out))
-    elif name == "free-vars":
-        for v in exprlang.free_vars(e):
-            print(v)
-    elif name == "constants":
-        for c in exprlang.constants(e):
-            print(c)
-    else:
-        print(exprlang.height(e))
+    for line in PASSES[args.pass_name](e):
+        print(line)
     return EXIT_OK
 
 
@@ -227,15 +226,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         "--pass",
         required=True,
         dest="pass_name",
-        choices=[
-            "simplify",
-            "const-fold",
-            "simplify-more",
-            "abstract",
-            "free-vars",
-            "constants",
-            "height",
-        ],
+        choices=list(PASSES),
     )
     p.add_argument("file")
     p.set_defaults(run=cmd_demo_expr)

@@ -4,8 +4,10 @@ Every serializable or traversable type is registered here under its
 head, as a builder from argument representations to a descriptor that
 says what the type is made of: a variant with tagged constructors, a
 record, a bare product, an array, an open (extensible) constructor set,
-a synonym, a scalar, or an abstract name. A record or bare product is a
-type with exactly one constructor.
+a synonym, a leaf, or an abstract name. A record or bare product is a
+type with exactly one constructor. Leaves (numbers, characters, text)
+and arrays have fixed host forms, which check_leaf states: text is a
+Python str and an array is a Python list.
 
 Constructors carry an embed/proj pair between values and argument
 tuples in field order, so generic code can take values apart with
@@ -97,7 +99,7 @@ class Desc:
 
 @dataclass(frozen=True)
 class ScalarDesc(Desc):
-    """A primitive with no substructure; kind is int, float, or char."""
+    """A leaf with no substructure; kind is int, float, char, or text."""
 
     name: str
     kind: str
@@ -165,21 +167,10 @@ class ProductDesc(Desc):
 
 
 @dataclass(frozen=True)
-class ArrayOps:
-    """Primitive operations of an array-like type."""
-
-    length: Callable[[Any], int]
-    get: Callable[[Any, int], Any]
-    init: Callable[[int, Callable[[int], Any]], Any]
-
-
-@dataclass(frozen=True)
 class ArrayLikeDesc(Desc):
-    """Homogeneous indexed elements; bytes_like types serialize as raw bytes."""
+    """Homogeneous elements of type elem, held in a Python list."""
 
     elem: TypePattern
-    ops: ArrayOps
-    bytes_like: bool = False
 
 
 class ExtensibleDesc(Desc):
@@ -376,9 +367,19 @@ def conap(dd: Desc, x: Any) -> ConApp:
 
 
 def check_leaf(kind: str, v: Any, path: str = "") -> Any:
-    """v, if it is a value of this leaf kind: a ScalarDesc's kind, or
-    "text" for a bytes-like array. Otherwise MalformedValue, at path if
-    given. The one rule the serializer, show and equal apply to leaves.
+    """v, if it is a value of this kind: a ScalarDesc's kind, or "array"
+    for an ArrayLikeDesc. Otherwise MalformedValue, at path if given.
+    The one rule the serializer, show and equal apply to leaves and
+    arrays.
+
+    >>> check_leaf("text", "hi")
+    'hi'
+    >>> check_leaf("array", [1, 2])
+    [1, 2]
+    >>> check_leaf("array", (1, 2), "root.0")
+    Traceback (most recent call last):
+    ...
+    reflectix.errors.MalformedValue: at root.0: array expected, got (1, 2)
     """
     if kind == "int":
         ok = isinstance(v, int) and not isinstance(v, bool)
@@ -386,8 +387,10 @@ def check_leaf(kind: str, v: Any, path: str = "") -> Any:
         ok = isinstance(v, float)
     elif kind == "char":
         ok = isinstance(v, str) and len(v) == 1
+    elif kind == "text":
+        ok = isinstance(v, str)
     else:
-        ok = kind == "text" and isinstance(v, str)
+        ok = kind == "array" and type(v) is list
     if not ok:
         where = f"at {path}: " if path else ""
         raise MalformedValue(f"{where}{kind} expected, got {v!r}")

@@ -117,6 +117,12 @@ class ParseError(ReflectixError):
         self.reason = reason
         super().__init__(f"parse error at line {line}, column {column}: {reason}")
 
+    @classmethod
+    def at(cls, text: str, pos: int, reason: str) -> "ParseError":
+        """The error at offset pos of text, with 1-based line and column."""
+        line = text.count("\n", 0, pos) + 1
+        return cls(line, pos - text.rfind("\n", 0, pos), reason)
+
 
 class UnknownType(ReflectixError):
     """A type name is absent from the constructor table."""

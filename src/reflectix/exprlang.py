@@ -128,23 +128,13 @@ class _Lexer:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
-        self.line = 1
-        self.col = 1
 
     def error(self, reason: str) -> ParseError:
-        return ParseError(self.line, self.col, reason)
-
-    def _advance(self, ch: str) -> None:
-        if ch == "\n":
-            self.line += 1
-            self.col = 1
-        else:
-            self.col += 1
-        self.pos += 1
+        return ParseError.at(self.text, self.pos, reason)
 
     def skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self._advance(self.text[self.pos])
+            self.pos += 1
 
     def peek(self) -> str:
         return self.text[self.pos] if self.pos < len(self.text) else ""
@@ -152,14 +142,14 @@ class _Lexer:
     def expect(self, ch: str) -> None:
         if self.peek() != ch:
             raise self.error(f"expected {ch!r}")
-        self._advance(ch)
+        self.pos += 1
 
     def word(self) -> str:
         start = self.pos
         while self.pos < len(self.text) and (
             self.text[self.pos].isalnum() or self.text[self.pos] in "_-"
         ):
-            self._advance(self.text[self.pos])
+            self.pos += 1
         if self.pos == start:
             raise self.error("expected a word")
         return self.text[start : self.pos]
@@ -179,11 +169,11 @@ def _parse_int(lx: _Lexer) -> int:
     lx.skip_ws()
     start = lx.pos
     if lx.peek() == "-":
-        lx._advance("-")
+        lx.pos += 1
     if not lx.peek().isdigit():
         raise lx.error("expected an integer")
     while lx.peek().isdigit():
-        lx._advance(lx.peek())
+        lx.pos += 1
     return int(lx.text[start : lx.pos])
 
 
@@ -192,9 +182,9 @@ def _parse_ident(lx: _Lexer) -> str:
     if not lx.peek().isalpha():
         raise lx.error("expected an identifier")
     start = lx.pos
-    lx._advance(lx.peek())
+    lx.pos += 1
     while lx.peek().isalnum() or lx.peek() == "_":
-        lx._advance(lx.peek())
+        lx.pos += 1
     return lx.text[start : lx.pos]
 
 

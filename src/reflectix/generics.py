@@ -23,6 +23,7 @@ from .desc import (
     VariantDesc,
     check_leaf,
     conap,
+    follow_synonyms,
     try_repr,
     view_desc,
 )
@@ -109,14 +110,13 @@ def _show_generic(t: TypeRep, x: Any) -> str:
             return ca.con.name
         return f"{ca.con.name} ({', '.join(parts)})"
     if isinstance(dd, ScalarDesc):
-        return repr(check_leaf(dd.kind, x))
+        v = check_leaf(dd.kind, x)
+        return _quoted(v, '"') if dd.kind == "text" else repr(v)
     if isinstance(dd, ArrayLikeDesc):
-        if dd.bytes_like:
-            return _quoted(check_leaf("text", x), '"')
-        n = dd.ops.length(x)
-        return "[|" + "; ".join(show(dd.elem, dd.ops.get(x, i)) for i in range(n)) + "|]"
+        items = (show(dd.elem, e) for e in check_leaf("array", x))
+        return "[|" + "; ".join(items) + "|]"
     if isinstance(dd, SynonymDesc):
-        return show(dd.target, x)
+        return show(follow_synonyms(dd.target)[0], x)
     if isinstance(dd, AbstractDesc):
         rep = try_repr(t)
         if rep is None:
@@ -167,13 +167,9 @@ def _equal_base(t: TypeRep, x: Any, y: Any) -> bool:
     if isinstance(dd, ScalarDesc):
         return check_leaf(dd.kind, x) == check_leaf(dd.kind, y)
     if isinstance(dd, ArrayLikeDesc):
-        if dd.bytes_like:
-            return check_leaf("text", x) == check_leaf("text", y)
-        n, m = dd.ops.length(x), dd.ops.length(y)
-        if n != m:
-            return False
-        return all(
-            equal(dd.elem, dd.ops.get(x, i), dd.ops.get(y, i)) for i in range(n)
+        xs, ys = check_leaf("array", x), check_leaf("array", y)
+        return len(xs) == len(ys) and all(
+            equal(dd.elem, a, b) for a, b in zip(xs, ys)
         )
     if isinstance(dd, ExtensibleDesc):
         cx, cy = conap(dd, x), conap(dd, y)
@@ -215,11 +211,10 @@ def children_sumprod(t: TypeRep, x: Any) -> list:
             return child(t, sp.rep, v)
         if isinstance(sp, Base):
             dd = view_desc(sp.rep)
-            if isinstance(dd, ArrayLikeDesc) and not dd.bytes_like:
-                n = dd.ops.length(v)
+            if isinstance(dd, ArrayLikeDesc):
                 out = []
-                for i in range(n):
-                    out.extend(child(t, dd.elem, dd.ops.get(v, i)))
+                for e in check_leaf("array", v):
+                    out.extend(child(t, dd.elem, e))
                 return out
             return []
         return []

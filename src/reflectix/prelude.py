@@ -1,10 +1,11 @@
 """Descriptors for the built-in types and a small demo zoo.
 
-Importing this module populates the descriptor registry: scalars, the
-cons-cell view of Python lists, pairs, arrays, strings, plus the demo
-types the tests and command line tool lean on (binary trees, rose
-trees, naturals, a polymorphically recursive tree, and an extensible
-error type).
+Importing this module populates the descriptor registry: the leaves
+(Int, Float, Char, and String, whose values are Python str), the
+cons-cell view of Python lists, pairs, arrays over Python lists, plus
+the demo types the tests and command line tool lean on (binary trees,
+rose trees, naturals, a polymorphically recursive tree, and an
+extensible error type).
 """
 
 from __future__ import annotations
@@ -32,11 +33,12 @@ from .typerep import (
 )
 
 # ---------------------------------------------------------------------------
-# Scalars
+# Leaves
 
 d.register(Int, lambda: d.ScalarDesc("Int", "int"))
 d.register(Float, lambda: d.ScalarDesc("Float", "float"))
 d.register(Char, lambda: d.ScalarDesc("Char", "char"))
+d.register(String, lambda: d.ScalarDesc("String", "text"))
 
 # Functions carry no structure worth describing.
 d.register(Fun, lambda a, b: d.NO_DESC)
@@ -122,42 +124,9 @@ def _list_desc(a: Any) -> d.VariantDesc:
 d.register(List, _list_desc)
 
 # ---------------------------------------------------------------------------
-# Strings and arrays
+# Arrays: Python lists of one element type.
 
-
-def _string_init(n: int, f: Any) -> str:
-    return "".join(f(i) for i in range(n))
-
-
-d.register(
-    String,
-    lambda: d.ArrayLikeDesc(
-        Char,
-        d.ArrayOps(length=len, get=lambda s, i: s[i], init=_string_init),
-        bytes_like=True,
-    ),
-)
-
-
-def _array_length(xs: Any) -> int:
-    if type(xs) is not list:
-        raise MalformedValue(f"not an Array value: {xs!r}")
-    return len(xs)
-
-
-def _array_desc(a: Any) -> d.ArrayLikeDesc:
-    return d.ArrayLikeDesc(
-        a,
-        d.ArrayOps(
-            length=_array_length,
-            get=lambda xs, i: xs[i],
-            init=lambda n, f: [f(i) for i in range(n)],
-        ),
-        bytes_like=False,
-    )
-
-
-d.register(Array, _array_desc)
+d.register(Array, d.ArrayLikeDesc)
 
 # ---------------------------------------------------------------------------
 # Binary trees

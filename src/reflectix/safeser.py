@@ -314,18 +314,17 @@ class _Builder:
                 return Imm(v)
             if dd.kind == "char":
                 return Imm(ord(v))
-            return Float(v)
-        if isinstance(dd, d.ArrayLikeDesc):
-            if dd.bytes_like:
-                d.check_leaf("text", v, path)
+            if dd.kind == "text":
                 try:
                     return Bytes(v.encode("utf-8"))
                 except UnicodeEncodeError:
                     raise MalformedValue(
                         f"at {path}: text is not encodable as UTF-8: {v!r}"
                     ) from None
-            n = dd.ops.length(v)
-            reps, flat = (dd.elem,) * n, [dd.ops.get(v, i) for i in range(n)]
+            return Float(v)
+        if isinstance(dd, d.ArrayLikeDesc):
+            flat = d.check_leaf("array", v, path)
+            reps = (dd.elem,) * len(flat)
         elif isinstance(
             dd, (d.VariantDesc, d.ExtensibleDesc, d.RecordDesc, d.ProductDesc)
         ):
@@ -458,11 +457,7 @@ def _match_node(
                     raise Incompatible(path, "character code", f"Imm {value}")
                 return [], lambda _: chr(value)
             return [], lambda _: value
-        if not isinstance(node, Float):
-            raise Incompatible(path, render(p), node_kind(node))
-        return [], lambda _: node.value
-    if isinstance(dd, d.ArrayLikeDesc):
-        if dd.bytes_like:
+        if dd.kind == "text":
             if not isinstance(node, Bytes):
                 raise Incompatible(path, render(p), node_kind(node))
             try:
@@ -470,11 +465,13 @@ def _match_node(
             except UnicodeDecodeError:
                 raise Incompatible(path, "UTF-8 text", "undecodable bytes") from None
             return [], lambda _: text
+        if not isinstance(node, Float):
+            raise Incompatible(path, render(p), node_kind(node))
+        return [], lambda _: node.value
+    if isinstance(dd, d.ArrayLikeDesc):
         if not isinstance(node, Block) or node.tag != 0:
             raise Incompatible(path, render(p), node_kind(node))
-        ops = dd.ops
-        fields = [(m, dd.elem) for m in node.fields]
-        return fields, lambda vs: ops.init(len(vs), vs.__getitem__)
+        return [(m, dd.elem) for m in node.fields], list
     if isinstance(dd, d.VariantDesc):
         if isinstance(node, Imm):
             if not 0 <= node.value < dd.cst_len:

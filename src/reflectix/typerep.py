@@ -293,9 +293,7 @@ def parse_type(text: str) -> TypePattern:
     n = len(text)
 
     def err(reason: str) -> ParseError:
-        line = text.count("\n", 0, pos) + 1
-        column = pos - (text.rfind("\n", 0, pos) + 1) + 1
-        return ParseError(line, column, reason)
+        return ParseError.at(text, pos, reason)
 
     def skip_ws() -> None:
         nonlocal pos

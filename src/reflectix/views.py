@@ -162,11 +162,12 @@ def sumprod(t: TypeRep) -> SumProd:
     """The sum-of-products structure of t.
 
     Variants become right-nested sums of constructors, records become
-    field-tagged products, scalars and arrays become Base, synonyms
-    defer to their target, and abstract types with a representation
-    are viewed through it. Every constructor argument is delayed. bck
-    gives the arguments as pairs nested to the right and ending in (),
-    inside Left/Right for variants; fwd rebuilds the value from them.
+    field-tagged products, scalars and arrays become Base, a synonym
+    defers to the type it names past every synonym, and abstract types
+    with a representation are viewed through it. Every constructor
+    argument is delayed. bck gives the arguments as pairs nested to the
+    right and ending in (), inside Left/Right for variants; fwd rebuilds
+    the value from them.
     """
     dd = view_desc(t)
     if dd is NO_DESC:
@@ -174,7 +175,7 @@ def sumprod(t: TypeRep) -> SumProd:
     if isinstance(dd, (ScalarDesc, ArrayLikeDesc, ExtensibleDesc)):
         return Base(t)
     if isinstance(dd, SynonymDesc):
-        return Delay(dd.target)
+        return Delay(follow_synonyms(dd.target)[0])
     if isinstance(dd, AbstractDesc):
         rep = try_repr(t)
         if rep is None:

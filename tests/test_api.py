@@ -54,6 +54,9 @@ NON_MEMBER_CASES = [
         (Array(Int), 5),
     )
     for name in ("serialize", "show", "equal")
+] + [
+    # children_sumprod walks an array's list itself.
+    ("children_sumprod", Array(Int), 5),
 ]
 
 

@@ -308,11 +308,14 @@ def test_pair_product_desc():
 
 
 def test_scalar_descs():
-    from reflectix.typerep import Char, Float
+    from reflectix.typerep import Array, Char, Float
 
     assert d.view_desc(Int).kind == "int"
     assert d.view_desc(Float).kind == "float"
     assert d.view_desc(Char).kind == "char"
+    # Text is a leaf; an array is a list of its element type.
+    assert d.view_desc(String) == d.ScalarDesc("String", "text")
+    assert d.view_desc(Array(Int)) == d.ArrayLikeDesc(Int)
 
 
 def test_constant_constructor():

@@ -243,10 +243,13 @@ def test_empty_tree_constant_is_shared():
 
 def test_deserialize_rebuilds_sharing():
     xs = [1, 2]
-    t = Pair(List(Int), List(Int))
-    w = ss.deserialize(t, ss.serialize(t, (xs, xs)))
-    assert w == (xs, xs)
-    assert w[0] is w[1]
+    for t, v in (
+        (Pair(List(Int), List(Int)), (xs, xs)),
+        (Array(Array(Int)), [xs, xs]),
+    ):
+        w = ss.deserialize(t, ss.serialize(t, v))
+        assert w == v
+        assert w[0] is w[1]
 
 
 def test_convert_mirrors_input_sharing():
@@ -681,3 +684,7 @@ def test_synonym_cycle_refused_both_ways():
         ss.serialize(A, 1)
     with pytest.raises(NoDescriptor, match="synonym chain too long"):
         ss.deserialize(A, ss.serialize(Int, 1))
+    with pytest.raises(NoDescriptor, match="synonym chain too long"):
+        g.show(A, 1)
+    with pytest.raises(NoDescriptor, match="synonym chain too long"):
+        g.equal(A, 1, 1)
