@@ -245,12 +245,16 @@ class Representation:
 
 
 # ---------------------------------------------------------------------------
-# Registration and lookup: two tables from a head to its builder.
+# Registration and lookup: two tables from a head to its builder, and
+# two caches from an interned type to its builder's result.
 
 DescBuilder = Callable[..., Desc]
 _descs: dict[Head, DescBuilder] = {}
 _reprs: dict[Head, Callable[..., Representation]] = {}
 _register_lock = threading.Lock()
+_CACHE_BOUND = 256
+_desc_cache: dict[TypeRep, Desc] = {}
+_repr_cache: dict[TypeRep, Optional[Representation]] = {}
 
 
 def _head_of(witness: Any) -> Head:
@@ -261,6 +265,16 @@ def _head_of(witness: Any) -> Head:
     if isinstance(witness, Head):
         return witness
     raise ArityMismatch(f"not a type witness: {witness!r}")
+
+
+def _remember(cache: dict, table: dict, t: TypeRep, builder: Any, result: Any) -> None:
+    """Store a builder's result for t, unless a registration came in
+    since the builder was looked up; empty the cache at its bound."""
+    with _register_lock:
+        if table.get(t.head) is builder:
+            if len(cache) >= _CACHE_BOUND:
+                cache.clear()
+            cache[t] = result
 
 
 def register(witness: Any, builder: DescBuilder) -> None:
@@ -276,15 +290,30 @@ def register(witness: Any, builder: DescBuilder) -> None:
         if head in _descs:
             raise DuplicateDescriptor(f"descriptor for {head.name} already registered")
         _descs[head] = builder
+        _desc_cache.clear()
+        _repr_cache.clear()
 
 
 def view_desc(t: TypePattern) -> Desc:
     """Its head's builder applied to t's arguments, which may be
-    wildcards; NO_DESC for the wildcard or an unregistered head."""
+    wildcards; NO_DESC for the wildcard or an unregistered head.
+
+    The result is cached under the interned type, so the builder runs
+    once per type while it stays cached and two lookups of one type
+    return the same descriptor. The cache holds at most 256 types. It
+    is emptied when it reaches that bound, and whenever register or
+    register_repr adds a head, so a head registered after a lookup
+    returned NO_DESC is seen by the next one.
+    """
+    dd = _desc_cache.get(t)
+    if dd is not None:
+        return dd
     if t is ANY:
         return NO_DESC
     builder = _descs.get(t.head)
-    return NO_DESC if builder is None else builder(*t.args)
+    dd = NO_DESC if builder is None else builder(*t.args)
+    _remember(_desc_cache, _descs, t, builder, dd)
+    return dd
 
 
 def follow_synonyms(t: TypePattern) -> tuple[TypePattern, Desc]:
@@ -307,6 +336,8 @@ def register_repr(witness: Any, builder: Callable[..., Representation]) -> None:
                 f"representation for {head.name} already registered"
             )
         _reprs[head] = builder
+        _desc_cache.clear()
+        _repr_cache.clear()
 
 
 def repr_of(t: TypeRep) -> Representation:
@@ -318,10 +349,17 @@ def repr_of(t: TypeRep) -> Representation:
 
 
 def try_repr(t: TypeRep) -> Optional[Representation]:
+    """The public representation of t, or None; cached as view_desc's
+    result is, and emptied with it."""
+    r = _repr_cache.get(t, _repr_cache)
+    if r is not _repr_cache:
+        return r
     if t is ANY:
         return None
     builder = _reprs.get(t.head)
-    return None if builder is None else builder(*t.args)
+    r = None if builder is None else builder(*t.args)
+    _remember(_repr_cache, _reprs, t, builder, r)
+    return r
 
 
 # ---------------------------------------------------------------------------

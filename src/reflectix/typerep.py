@@ -2,10 +2,17 @@
 
 A TypeRep is a first-class value standing for a type: a nominal head
 (name, module path, fixed arity) applied to argument representations.
-Representations support structural equality with evidence (ty_equal),
-wildcard patterns (ANY) for dispatch, a specificity order on patterns,
-and anti-unification (least general generalization of two patterns).
+Every TypeRep is hash-consed: building the same head over the same
+arguments returns the one existing object, so equal types are
+identical, and equality and hashing are identity. A type such as
+Pair(Pair(Int, Int), Pair(Int, Int)) is a DAG with one node per
+distinct subterm, and its size is computed once, at construction.
+Representations support equality with evidence (ty_equal), wildcard
+patterns (ANY) for dispatch, a specificity order on patterns, and
+anti-unification (least general generalization of two patterns).
 
+>>> List(Int) is List(Int)
+True
 >>> matches(Pair(Int, ANY), Pair(Int, String))
 True
 >>> render(anti_unify(Pair(Int, Int), Pair(String, Int)))
@@ -15,7 +22,8 @@ True
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, Optional, Union
 
@@ -48,27 +56,65 @@ class _AnyPattern:
 ANY = _AnyPattern()
 
 
-@dataclass(frozen=True)
 class TypeRep:
     """A type constructor applied to argument representations.
 
-    Ground representations contain no ANY; patterns may. Structural
-    equality and hashing come from the dataclass machinery.
+    Ground representations contain no ANY; patterns may. Construction
+    interns: TypeRep(head, args) returns the existing object for an
+    equal head over the same (interned) arguments, so two TypeReps are
+    equal exactly when they are identical, and hash by identity. The
+    table holds its entries weakly, so a type nobody references is
+    freed. size is the number of nodes in the term, counting
+    wildcards. Instances are immutable; copying or unpickling one
+    interns again and yields the same object.
     """
 
-    head: Head
-    args: tuple["TypePattern", ...] = ()
+    __slots__ = ("head", "args", "size", "__weakref__")
 
-    def __post_init__(self) -> None:
-        if len(self.args) != self.head.arity:
+    head: Head
+    args: tuple["TypePattern", ...]
+    size: int
+
+    def __new__(cls, head: Head, args: tuple["TypePattern", ...] = ()) -> "TypeRep":
+        args = tuple(args)
+        # The arguments are themselves interned and this entry's value
+        # keeps them alive, so their ids are stable for the key's life.
+        key = (head, *map(id, args))
+        t = _interned.get(key)
+        if t is not None:
+            return t
+        if len(args) != head.arity:
             raise ArityMismatch(
-                f"{self.head.name} expects {self.head.arity} arguments, "
-                f"got {len(self.args)}"
+                f"{head.name} expects {head.arity} arguments, got {len(args)}"
             )
+        size = 1 + sum(1 if a is ANY else a.size for a in args)
+        with _intern_lock:
+            t = _interned.get(key)
+            if t is None:
+                t = object.__new__(cls)
+                object.__setattr__(t, "head", head)
+                object.__setattr__(t, "args", args)
+                object.__setattr__(t, "size", size)
+                _interned[key] = t
+        return t
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"TypeRep is immutable; cannot set {name}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"TypeRep is immutable; cannot delete {name}")
+
+    def __reduce__(self) -> tuple:
+        return TypeRep, (self.head, self.args)
 
     def __repr__(self) -> str:
         return render(self)
 
+
+# The hash-consing table: (head, id of each argument) -> TypeRep.
+# Lookups do not take the lock; inserts do.
+_intern_lock = threading.Lock()
+_interned: "weakref.WeakValueDictionary[tuple, TypeRep]" = weakref.WeakValueDictionary()
 
 TypePattern = Union[TypeRep, _AnyPattern]
 
@@ -136,9 +182,7 @@ def is_ground(p: TypePattern) -> bool:
 
 def pattern_size(p: TypePattern) -> int:
     """Number of nodes in the pattern term, counting wildcards."""
-    if p is ANY:
-        return 1
-    return 1 + sum(pattern_size(a) for a in p.args)
+    return 1 if p is ANY else p.size
 
 
 def render(p: TypePattern) -> str:
@@ -158,7 +202,7 @@ def matches(p: TypePattern, t: TypeRep) -> bool:
     >>> matches(Pair(ANY, Int), Pair(String, String))
     False
     """
-    if p is ANY:
+    if p is ANY or p is t:
         return True
     if t is ANY:
         # Lenient queries: a wildcard argument is covered only by a wildcard.
@@ -225,18 +269,29 @@ def anti_unify(p: TypePattern, q: TypePattern) -> TypePattern:
 
     Equal heads recurse over arguments; any mismatch of head or arity,
     or a wildcard on either side, generalizes to the wildcard at that
-    position.
+    position. Identical arguments are their own generalization, and
+    each pair of subterms is generalized once per call, so the cost is
+    bounded by the distinct subterm pairs, not by the size of the term.
 
     >>> anti_unify(Int, String) is ANY
     True
     >>> render(anti_unify(List(Int), List(String)))
     'List(_)'
     """
-    if p is ANY or q is ANY:
-        return ANY
-    if p.head != q.head:
-        return ANY
-    return TypeRep(p.head, tuple(anti_unify(a, b) for a, b in zip(p.args, q.args)))
+    memo: dict[tuple[int, int], TypePattern] = {}
+
+    def go(p: TypePattern, q: TypePattern) -> TypePattern:
+        if p is q:
+            return p
+        if p is ANY or q is ANY or p.head != q.head:
+            return ANY
+        key = (id(p), id(q))
+        g = memo.get(key)
+        if g is None:
+            g = memo[key] = TypeRep(p.head, tuple(go(a, b) for a, b in zip(p.args, q.args)))
+        return g
+
+    return go(p, q)
 
 
 @dataclass(frozen=True)
@@ -252,10 +307,10 @@ class EqualityWitness:
 
 
 def ty_equal(a: TypeRep, b: TypeRep) -> Optional[EqualityWitness]:
-    """Structural equality with evidence; None when the types differ."""
+    """Equality with evidence; None when the types differ."""
     if a is ANY or b is ANY:
         return None
-    if a == b:
+    if a is b:
         return EqualityWitness(a, b)
     return None
 

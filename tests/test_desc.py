@@ -324,3 +324,40 @@ def test_constant_constructor():
     assert c.embed(()) is None
     assert c.proj(None) == ()
     assert c.proj(0) is None
+
+
+# ---------------------------------------------------------------------------
+# The descriptor cache
+
+
+def test_lookup_is_cached_per_type():
+    assert d.view_desc(pl.Btree(Int)) is d.view_desc(pl.Btree(Int))
+    assert d.view_desc(List(Int)).ncst[0].fields[1].ty is List(Int)
+
+
+def test_register_after_a_miss_is_seen():
+    T = declare("LateDescDemo", 1, ("tests",))
+    assert d.view_desc(T(Int)) is d.NO_DESC
+    late = d.ArrayLikeDesc(Int)
+    d.register(T, lambda a: late)
+    assert d.view_desc(T(Int)) is late
+
+
+def test_register_repr_after_a_miss_is_seen():
+    T = declare("LateReprDemo", 0, ("tests",))
+    d.register(T, lambda: d.AbstractDesc("LateReprDemo", ("tests",)))
+    assert d.try_repr(T) is None
+    rep = d.Representation(Int, lambda x: x, lambda x: x)
+    d.register_repr(T, lambda: rep)
+    assert d.try_repr(T) is rep
+    assert d.repr_of(T) is rep
+
+
+def test_cache_stays_within_its_bound():
+    Box = declare("CacheBoundDemo", 1, ("tests",))
+    d.register(Box, lambda a: d.ArrayLikeDesc(a))
+    t = Int
+    for _ in range(3 * d._CACHE_BOUND):
+        t = Box(t)
+        assert d.view_desc(t).elem is t.args[0]
+        assert len(d._desc_cache) <= d._CACHE_BOUND

@@ -6,9 +6,12 @@ kind-tagged nodes) and are frozen as hex; serialize must reproduce
 them exactly.
 """
 
+import gc
 import math
 import random
 import struct
+import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -305,6 +308,70 @@ def test_cyclic_polymorphic_recursion_terminates():
     assert st.first_size == {0: 2}
     assert st.descents == {0: 2}
     assert all(st.updates[n] <= st.first_size[n] for n in st.updates)
+
+
+# Polymorphic recursion: a PolyTree node at depth k is used at type
+# PolyTree(Pair^k(Int)), a tree of 2^k Int leaves held as k+1 shared
+# type objects.
+
+
+def _poly_spine(k, deepest):
+    # Leaf 3 shared as every Node's left field; the right fields nest k
+    # deep down to the deepest node (nodes from index 2); root last.
+    nodes = [ss.Imm(3), ss.Block(0, (0,))] + deepest
+    prev = 2
+    for _ in range(k):
+        nodes.append(ss.Block(1, (1, prev)))
+        prev = len(nodes) - 1
+    return ss.ValueGraph(nodes, prev)
+
+
+def _poly_dag(k):
+    # Both fields of each Node are the node below, so the node at depth
+    # j is used at j + 1 different types.
+    nodes = [ss.Imm(1), ss.Block(0, (0,))]
+    for _ in range(k):
+        nodes.append(ss.Block(1, (len(nodes) - 1, len(nodes) - 1)))
+    return ss.ValueGraph(nodes, len(nodes) - 1)
+
+
+@pytest.mark.parametrize(
+    "graph, refused",
+    [
+        (_poly_spine(60, [ss.Block(0, (0,))]), False),
+        (_poly_spine(60, [ss.Block(0, (3,)), ss.Bytes(b"x")]), True),
+        (_poly_dag(20), False),
+    ],
+    ids=["valid-spine-60", "hostile-spine-60", "dag-20"],
+)
+def test_polymorphic_recursion_cost_is_not_exponential(graph, refused):
+    t = pl.PolyTree(Int)
+    data = ss.encode_graph(graph)
+    for run in (lambda: ss.check_compat(t, graph), lambda: ss.deserialize(t, data)):
+        start = time.perf_counter()
+        if refused:
+            with pytest.raises(Incompatible):
+                run()
+        else:
+            run()
+        assert time.perf_counter() - start < 1.0
+
+
+def test_deep_polymorphic_value_retains_bounded_descriptors():
+    t = pl.PolyTree(Int)
+    data = ss.encode_graph(_poly_spine(900, [ss.Block(0, (0,))]))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        value = ss.deserialize(t, data)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert isinstance(value, pl.PolyNode)
+    assert len(d._desc_cache) <= d._CACHE_BOUND
+    assert retained < 2_000_000
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,10 @@
 """Type representations: construction, matching, ordering, parsing."""
 
+import copy
+import pickle
+import sys
+import threading
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -44,8 +49,68 @@ def test_declare_conflicting_arity_rejected():
 
 
 def test_apply_wrong_arity():
-    with pytest.raises(ArityMismatch):
+    with pytest.raises(ArityMismatch, match=r"^Pair expects 2 arguments, got 1$"):
         TypeRep(Pair(Int, Int).head, (Int,))
+
+
+def test_construction_interns():
+    assert List(Int) is List(Int)
+    assert TypeRep(Pair.head, (Int, String)) is Pair(Int, String)
+    assert Pair(List(ANY), Int) is Pair(List(ANY), Int)
+    assert List(Int) is not List(String)
+
+
+@pytest.mark.parametrize(
+    "roundtrip",
+    [copy.copy, copy.deepcopy, lambda t: pickle.loads(pickle.dumps(t))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_copies_are_the_interned_object(roundtrip):
+    for t in (Int, List(Int), Pair(List(ANY), Pair(Int, Int))):
+        assert roundtrip(t) is t
+
+
+def test_typerep_is_immutable():
+    t = List(Int)
+    with pytest.raises(AttributeError):
+        t.head = Int.head
+    with pytest.raises(AttributeError):
+        t.args = ()
+    with pytest.raises(AttributeError):
+        del t.args
+    assert t.args == (Int,)
+
+
+def test_threads_building_one_type_get_one_object():
+    # Each thread also builds a chain of types no other test made, so
+    # the threads race on the inserts, not only on lookups.
+    from reflectix.prelude import Btree
+
+    Race = declare("InternRaceDemo", 1, ("tests",))
+    barrier = threading.Barrier(4)
+    got = [None] * 4
+
+    def build(i):
+        barrier.wait()
+        chain = [Pair(List(Int), Btree(Int))]
+        for _ in range(300):
+            chain.append(Race(chain[-1]))
+        got[i] = chain
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(i,)) for i in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=30)
+            assert not th.is_alive()
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert got[0][0] is Pair(List(Int), Btree(Int))
+    for chain in got[1:]:
+        assert all(a is b for a, b in zip(chain, got[0], strict=True))
 
 
 def test_render_forms():
@@ -106,6 +171,25 @@ def test_anti_unify_cases():
     assert anti_unify(Pair(Int, Int), Pair(Int, String)) == Pair(Int, ANY)
     assert anti_unify(ANY, Int) is ANY
     assert anti_unify(Pair(Int, Int), List(Int)) is ANY
+
+
+def _pair_power(k, t):
+    for _ in range(k):
+        t = Pair(t, t)
+    return t
+
+
+def test_anti_unify_on_shared_types():
+    # Pair^40 is a DAG of 41 objects standing for a tree of 2^41 - 1
+    # nodes; generalizing it must follow the DAG, not the tree.
+    g = anti_unify(_pair_power(40, Int), _pair_power(40, String))
+    assert pattern_size(g) == 2**41 - 1
+    depth = 0
+    while g is not ANY:
+        assert g.head == Pair.head and g.args[0] is g.args[1]
+        g = g.args[0]
+        depth += 1
+    assert depth == 40
 
 
 def test_anti_unify_generalizes_both_sides():
