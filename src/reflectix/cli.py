@@ -26,6 +26,7 @@ from typing import Any, Callable, Optional
 from . import exprlang, safeser
 from .errors import (
     CyclicValue,
+    DepthLimitExceeded,
     Incompatible,
     MalformedBytes,
     NoDescriptor,
@@ -37,7 +38,7 @@ from .errors import (
 )
 from .generics import equal
 from .prelude import Nat
-from .typerep import Int, TypeRep, parse_type, render
+from .typerep import Int, TypeRep, brief, parse_type
 from .uniplate import DEFAULT_FUEL
 
 EXIT_OK = 0
@@ -170,7 +171,7 @@ def _read_value(t: TypeRep, text: str) -> Any:
             return int(s, 10)
         except ValueError:
             raise ParseError(1, 1, f"not an integer literal: {s!r}") from None
-    raise ReflectixError(f"no value reader for {render(t)}")
+    raise ReflectixError(f"no value reader for {brief(t)}")
 
 
 def _corrupt(data: bytes) -> bytes:
@@ -249,7 +250,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_FAILURE
-    except RecursionError:
+    except (RecursionError, DepthLimitExceeded):
         print("error: input nests too deeply to process", file=sys.stderr)
         return EXIT_FAILURE
     except ReflectixError as e:

@@ -40,7 +40,7 @@ from .typerep import (
     TyCon,
     TypePattern,
     TypeRep,
-    render,
+    brief,
 )
 
 
@@ -324,7 +324,7 @@ def follow_synonyms(t: TypePattern) -> tuple[TypePattern, Desc]:
         if not isinstance(dd, SynonymDesc):
             return t, dd
         t = dd.target
-    raise NoDescriptor(f"synonym chain too long at {render(t)}")
+    raise NoDescriptor(f"synonym chain too long at {brief(t)}")
 
 
 def register_repr(witness: Any, builder: Callable[..., Representation]) -> None:
@@ -404,20 +404,20 @@ def conap(dd: Desc, x: Any) -> ConApp:
     return ConApp(con, args)
 
 
-def check_leaf(kind: str, v: Any, path: str = "") -> Any:
+def check_leaf(kind: str, v: Any) -> Any:
     """v, if it is a value of this kind: a ScalarDesc's kind, or "array"
-    for an ArrayLikeDesc. Otherwise MalformedValue, at path if given.
-    The one rule the serializer, show and equal apply to leaves and
-    arrays.
+    for an ArrayLikeDesc. Otherwise MalformedValue, which serialize
+    locates at the field that holds v. The one rule the serializer,
+    show and equal apply to leaves and arrays.
 
     >>> check_leaf("text", "hi")
     'hi'
     >>> check_leaf("array", [1, 2])
     [1, 2]
-    >>> check_leaf("array", (1, 2), "root.0")
+    >>> check_leaf("array", (1, 2))
     Traceback (most recent call last):
     ...
-    reflectix.errors.MalformedValue: at root.0: array expected, got (1, 2)
+    reflectix.errors.MalformedValue: array expected, got (1, 2)
     """
     if kind == "int":
         ok = isinstance(v, int) and not isinstance(v, bool)
@@ -430,8 +430,7 @@ def check_leaf(kind: str, v: Any, path: str = "") -> Any:
     else:
         ok = kind == "array" and type(v) is list
     if not ok:
-        where = f"at {path}: " if path else ""
-        raise MalformedValue(f"{where}{kind} expected, got {v!r}")
+        raise MalformedValue(f"{kind} expected, got {v!r}")
     return v
 
 

@@ -9,7 +9,25 @@ from __future__ import annotations
 
 
 class ReflectixError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors.
+
+    A serializer walk raises without a location. Each level the error
+    unwinds out of notes the field index it took (under_field), and the
+    walk's entry point locates the error once: path becomes root.i.j
+    and the message gains the prefix "at root.i.j: ". Elsewhere path is
+    None.
+    """
+
+    path: str | None = None
+
+    def under_field(self, i: int) -> None:
+        self.__dict__.setdefault("_fields", []).append(i)
+
+    def locate(self) -> None:
+        if self.path is None:
+            fields = reversed(self.__dict__.get("_fields", []))
+            self.path = ".".join(["root", *map(str, fields)])
+            self.args = (f"at {self.path}: {self}",)
 
 
 class NotSupported(ReflectixError):
@@ -81,19 +99,14 @@ class MalformedBytes(SafeserError):
 class Incompatible(SafeserError):
     """A graph node does not fit the shape the type requires."""
 
-    def __init__(self, path: str, expected: str, found: str):
-        self.path = path
+    def __init__(self, expected: str, found: str):
         self.expected = expected
         self.found = found
-        super().__init__(f"at {path}: expected {expected}, found {found}")
+        super().__init__(f"expected {expected}, found {found}")
 
 
 class RepresentationRejected(SafeserError):
     """from_repr refused a decoded representation value."""
-
-    def __init__(self, path: str):
-        self.path = path
-        super().__init__(f"at {path}: representation rejected")
 
 
 class NoDescriptor(SafeserError):
@@ -105,7 +118,7 @@ class CyclicValue(SafeserError):
 
 
 class DepthLimitExceeded(SafeserError):
-    """A graph nests too deeply to process safely."""
+    """A value or graph nests too deeply for the recursive walk over it."""
 
 
 class ParseError(ReflectixError):

@@ -22,9 +22,9 @@ from .typerep import (
     Head,
     TypePattern,
     TypeRep,
+    brief,
     matches,
     pattern_key,
-    render,
 )
 
 # A case receives the matched representation so it can destructure the
@@ -95,7 +95,7 @@ class ExtFun:
         """
         case = self._select(t)
         if case is None:
-            raise NotSupported(self.doc, render(t))
+            raise NotSupported(self.doc, brief(t))
         return case.fn(t, *args)
 
     def supports(self, t: TypeRep) -> bool:

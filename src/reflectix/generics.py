@@ -27,7 +27,7 @@ from .desc import (
     try_repr,
     view_desc,
 )
-from .errors import MalformedValue, NotSupported, NoView
+from .errors import DepthLimitExceeded, MalformedValue, NotSupported, NoView
 from .typerep import (
     ANY,
     Char,
@@ -37,7 +37,7 @@ from .typerep import (
     List,
     String,
     TypeRep,
-    render,
+    brief,
     ty_equal,
 )
 from .views import (
@@ -70,8 +70,12 @@ def show(t: TypeRep, x: Any) -> str:
     Lists print as [1; 2; 3], pairs as (1, "a"), functions as <fun>,
     variant values in constructor syntax, records in field syntax, and
     arrays as [|1; 2|]. New cases may be registered on show_fun.
+    Raises DepthLimitExceeded when x nests too deeply to recurse over.
     """
-    return show_fun.apply(t, x)
+    try:
+        return show_fun.apply(t, x)
+    except RecursionError:
+        raise DepthLimitExceeded("value nests too deeply to show") from None
 
 
 def _quoted(text: str, quote: str) -> str:
@@ -120,9 +124,9 @@ def _show_generic(t: TypeRep, x: Any) -> str:
     if isinstance(dd, AbstractDesc):
         rep = try_repr(t)
         if rep is None:
-            raise NotSupported(show_fun.doc, render(t))
+            raise NotSupported(show_fun.doc, brief(t))
         return f"{dd.name}({show(rep.repr_ty, rep.to_repr(x))})"
-    raise NotSupported(show_fun.doc, render(t))
+    raise NotSupported(show_fun.doc, brief(t))
 
 
 show_fun.extend(ANY, _show_generic)
@@ -132,12 +136,16 @@ show_fun.extend(ANY, _show_generic)
 
 
 def equal(t: TypeRep, x: Any, y: Any) -> bool:
-    """Structural equality at type t via the sum-of-products view."""
+    """Structural equality at type t via the sum-of-products view.
+    Raises DepthLimitExceeded when x or y nests too deeply to recurse over."""
     try:
         sp = sumprod(t)
     except NoView:
-        raise NotSupported("equal", render(t)) from None
-    return _equal_sp(sp, x, y)
+        raise NotSupported("equal", brief(t)) from None
+    try:
+        return _equal_sp(sp, x, y)
+    except RecursionError:
+        raise DepthLimitExceeded("values nest too deeply to compare") from None
 
 
 def _equal_sp(sp: Any, x: Any, y: Any) -> bool:

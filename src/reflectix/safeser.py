@@ -29,6 +29,10 @@ re-examined only when its pattern strictly generalized, which bounds
 work per node by the size of the first pattern it was seen at, so
 checking terminates even on cyclic graphs presenting a node at
 ever-changing types.
+
+Each walk raises without a location. Each level an error unwinds out
+of notes its field index, and build_graph, check_compat and
+materialize format the path root.i.j once (ReflectixError.locate).
 """
 from __future__ import annotations
 
@@ -36,7 +40,7 @@ import struct
 from collections import Counter
 from dataclasses import dataclass, field as dc_field, replace
 from enum import Enum
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterator, Optional
 
 from . import desc as d
 from .errors import (
@@ -46,9 +50,10 @@ from .errors import (
     MalformedBytes,
     MalformedValue,
     NoDescriptor,
+    ReflectixError,
     RepresentationRejected,
 )
-from .typerep import ANY, TypePattern, TypeRep, anti_unify, pattern_size, render
+from .typerep import ANY, TypePattern, TypeRep, anti_unify, brief, pattern_size
 
 # ---------------------------------------------------------------------------
 # Graph model
@@ -288,29 +293,29 @@ class _Builder:
         self._memo: dict[tuple[int, TypeRep], int] = {}
         self._pins: list = []  # keep ids alive while building
 
-    def build(self, t: TypeRep, v: Any, path: str) -> int:
-        t, dd, rep = _resolve(t, path)
+    def build(self, t: TypeRep, v: Any) -> int:
+        t, dd, rep = _resolve(t)
         key = (id(v), t)
         hit = self._memo.get(key)
         if hit is not None:
             return hit
         self._pins.append(v)
         if rep is not None:
-            idx = self.build(rep.repr_ty, rep.to_repr(v), path)
+            idx = self.build(rep.repr_ty, rep.to_repr(v))
             self._memo[key] = idx
             return idx
         idx = len(self.nodes)
         self.nodes.append(None)
         self._memo[key] = idx
-        self.nodes[idx] = self._node_for(dd, t, v, path)
+        self.nodes[idx] = self._node_for(dd, t, v)
         return idx
 
-    def _node_for(self, dd: d.Desc, t: TypeRep, v: Any, path: str) -> ValueNode:
+    def _node_for(self, dd: d.Desc, t: TypeRep, v: Any) -> ValueNode:
         if isinstance(dd, d.ScalarDesc):
-            d.check_leaf(dd.kind, v, path)
+            d.check_leaf(dd.kind, v)
             if dd.kind == "int":
                 if not _I64_MIN <= v <= _I64_MAX:
-                    raise Incompatible(path, "64-bit integer", f"integer {v}")
+                    raise Incompatible("64-bit integer", f"integer {v}")
                 return Imm(v)
             if dd.kind == "char":
                 return Imm(ord(v))
@@ -319,11 +324,11 @@ class _Builder:
                     return Bytes(v.encode("utf-8"))
                 except UnicodeEncodeError:
                     raise MalformedValue(
-                        f"at {path}: text is not encodable as UTF-8: {v!r}"
+                        f"text is not encodable as UTF-8: {v!r}"
                     ) from None
             return Float(v)
         if isinstance(dd, d.ArrayLikeDesc):
-            flat = d.check_leaf("array", v, path)
+            flat = d.check_leaf("array", v)
             reps = (dd.elem,) * len(flat)
         elif isinstance(
             dd, (d.VariantDesc, d.ExtensibleDesc, d.RecordDesc, d.ProductDesc)
@@ -334,25 +339,35 @@ class _Builder:
                 return Imm(dd.cst.index(con))
             reps, flat = [f.ty for f in con.fields], ca.args
         else:
-            raise NoDescriptor(f"at {path}: no descriptor for {render(t)}")
-        refs = tuple(
-            self.build(r, fv, f"{path}.{i}")
-            for i, (r, fv) in enumerate(zip(reps, flat))
-        )
+            raise NoDescriptor(f"no descriptor for {brief(t)}")
+        refs = tuple(self._fields(reps, flat))
         if isinstance(dd, d.ExtensibleDesc):
             return ExtCon(con.name, refs)
         if isinstance(dd, d.VariantDesc):
             return Block(dd.ncst.index(con), refs)
         return Block(0, refs)
 
+    def _fields(self, reps: Any, flat: Any) -> Iterator[int]:
+        # A generator keeps serialize at three frames per level: going
+        # deeper would pin an O(n) list suffix per cell through _pins.
+        for i, (r, fv) in enumerate(zip(reps, flat)):
+            try:
+                yield self.build(r, fv)
+            except ReflectixError as e:
+                e.under_field(i)
+                raise
+
 
 def build_graph(t: TypeRep, v: Any) -> ValueGraph:
     """The value graph of v at type t, sharing preserved."""
     b = _Builder()
     try:
-        root = b.build(t, v, "root")
+        root = b.build(t, v)
     except RecursionError:
         raise DepthLimitExceeded("value nests too deeply to serialize") from None
+    except ReflectixError as e:
+        e.locate()
+        raise
     return ValueGraph(b.nodes, root)
 
 
@@ -378,30 +393,28 @@ class ConvertState:
     first_size: dict = dc_field(default_factory=dict)
 
 
-def _resolve(
-    p: TypeRep, path: str
-) -> tuple[TypeRep, d.Desc, Optional[d.Representation]]:
+def _resolve(p: TypeRep) -> tuple[TypeRep, d.Desc, Optional[d.Representation]]:
     """Follow synonyms from p; return the type reached, its descriptor,
     and its public representation if it is abstract."""
     p, dd = d.follow_synonyms(p)
     if dd is d.NO_DESC:
-        raise NoDescriptor(f"at {path}: no descriptor for {render(p)}")
+        raise NoDescriptor(f"no descriptor for {brief(p)}")
     if not isinstance(dd, d.AbstractDesc):
         return p, dd, None
     rep = d.try_repr(p)
     if rep is None:
-        raise NoDescriptor(f"at {path}: {render(p)} has no public representation")
+        raise NoDescriptor(f"{brief(p)} has no public representation")
     return p, dd, rep
 
 
-def _ensure(st: ConvertState, n: int, p: TypePattern, path: str) -> None:
+def _ensure(st: ConvertState, n: int, p: TypePattern) -> None:
     key = (n, p)
     if p is ANY or key in st.memo:
         return
     st.memo.add(key)
-    p2, dd, rep = _resolve(p, path)
+    p2, dd, rep = _resolve(p)
     if rep is not None:
-        _ensure(st, n, rep.repr_ty, path)
+        _ensure(st, n, rep.repr_ty)
         return
     q = st.visited.get(n)
     if q is None:
@@ -422,20 +435,28 @@ def _ensure(st: ConvertState, n: int, p: TypePattern, path: str) -> None:
     if p2 is not p:
         st.memo.add((n, p2))
     st.descents[n] += 1
-    fields, _ = _match_node(st.graph, n, p2, dd, path)
+    fields, _ = _match_node(st.graph, n, p2, dd)
     for i, (m, fp) in enumerate(fields):
-        _ensure(st, m, fp, f"{path}.{i}")
+        try:
+            _ensure(st, m, fp)
+        except ReflectixError as e:
+            e.under_field(i)
+            raise
 
 
-def _arity(path: str, con: d.Constructor, node: ValueNode, what: str) -> None:
+def _arity(con: d.Constructor, node: ValueNode, what: str) -> None:
     if len(node.fields) != con.arity:
         raise Incompatible(
-            path, f"{con.name} with {con.arity} fields", f"{what} {len(node.fields)}"
+            f"{con.name} with {con.arity} fields", f"{what} {len(node.fields)}"
         )
 
 
+# The node a leaf of each ScalarDesc kind is written as.
+_LEAF_NODE = {"int": Imm, "char": Imm, "text": Bytes, "float": Float}
+
+
 def _match_node(
-    graph: ValueGraph, n: int, p: TypePattern, dd: d.Desc, path: str
+    graph: ValueGraph, n: int, p: TypePattern, dd: d.Desc
 ) -> tuple[list, Callable[[list], Any]]:
     """The structural rules: what node n must look like at pattern p.
 
@@ -448,61 +469,50 @@ def _match_node(
     """
     node = graph.nodes[n]
     if isinstance(dd, d.ScalarDesc):
-        if dd.kind in ("int", "char"):
-            if not isinstance(node, Imm):
-                raise Incompatible(path, render(p), node_kind(node))
-            value = node.value
-            if dd.kind == "char":
-                if not 0 <= value <= 0x10FFFF:
-                    raise Incompatible(path, "character code", f"Imm {value}")
-                return [], lambda _: chr(value)
-            return [], lambda _: value
+        if not isinstance(node, _LEAF_NODE.get(dd.kind, Float)):
+            raise Incompatible(brief(p), node_kind(node))
+        if dd.kind == "char":
+            if not 0 <= node.value <= 0x10FFFF:
+                raise Incompatible("character code", f"Imm {node.value}")
+            return [], lambda _: chr(node.value)
         if dd.kind == "text":
-            if not isinstance(node, Bytes):
-                raise Incompatible(path, render(p), node_kind(node))
             try:
                 text = node.data.decode("utf-8")
             except UnicodeDecodeError:
-                raise Incompatible(path, "UTF-8 text", "undecodable bytes") from None
+                raise Incompatible("UTF-8 text", "undecodable bytes") from None
             return [], lambda _: text
-        if not isinstance(node, Float):
-            raise Incompatible(path, render(p), node_kind(node))
         return [], lambda _: node.value
-    if isinstance(dd, d.ArrayLikeDesc):
-        if not isinstance(node, Block) or node.tag != 0:
-            raise Incompatible(path, render(p), node_kind(node))
-        return [(m, dd.elem) for m in node.fields], list
     if isinstance(dd, d.VariantDesc):
         if isinstance(node, Imm):
             if not 0 <= node.value < dd.cst_len:
                 raise Incompatible(
-                    path,
-                    f"{render(p)} constant tag below {dd.cst_len}",
+                    f"{brief(p)} constant tag below {dd.cst_len}",
                     f"Imm {node.value}",
                 )
             return [], dd.cst_get(node.value).embed
         if not isinstance(node, Block):
-            raise Incompatible(path, render(p), node_kind(node))
+            raise Incompatible(brief(p), node_kind(node))
         if node.tag >= dd.ncst_len:
             raise Incompatible(
-                path,
-                f"{render(p)} block tag below {dd.ncst_len}",
+                f"{brief(p)} block tag below {dd.ncst_len}",
                 f"Block tag {node.tag}",
             )
         con = dd.ncst_get(node.tag)
-        _arity(path, con, node, "Block arity")
-    elif isinstance(dd, (d.RecordDesc, d.ProductDesc)):
+        _arity(con, node, "Block arity")
+    elif isinstance(dd, (d.ArrayLikeDesc, d.RecordDesc, d.ProductDesc)):
         if not isinstance(node, Block) or node.tag != 0:
-            raise Incompatible(path, render(p), node_kind(node))
+            raise Incompatible(brief(p), node_kind(node))
+        if isinstance(dd, d.ArrayLikeDesc):
+            return [(m, dd.elem) for m in node.fields], list
         con = dd.con
-        _arity(path, con, node, "Block arity")
+        _arity(con, node, "Block arity")
     elif isinstance(dd, d.ExtensibleDesc):
         if not isinstance(node, ExtCon):
-            raise Incompatible(path, render(p), node_kind(node))
+            raise Incompatible(brief(p), node_kind(node))
         con = d.ext_find(dd, node.name)
-        _arity(path, con, node, "constructor arity")
+        _arity(con, node, "constructor arity")
     else:
-        raise NoDescriptor(f"at {path}: no descriptor for {render(p)}")
+        raise NoDescriptor(f"no descriptor for {brief(p)}")
     fields = [(m, f.ty) for m, f in zip(node.fields, con.fields)]
     return fields, con.embed
 
@@ -528,9 +538,12 @@ def check_compat(t: TypeRep, g: ValueGraph, root: Optional[int] = None) -> Conve
     """
     st = ConvertState(graph=g)
     try:
-        _ensure(st, g.root if root is None else root, t, "root")
+        _ensure(st, g.root if root is None else root, t)
     except RecursionError:
         raise DepthLimitExceeded("graph nests too deeply to check") from None
+    except ReflectixError as e:
+        e.locate()
+        raise
     return st
 
 
@@ -577,49 +590,56 @@ class _Materializer:
         # (node, type) marker might never be met again.
         self.building: set[int] = set()
 
-    def go(self, p: TypeRep, n: int, path: str) -> Any:
+    def go(self, p: TypeRep, n: int) -> Any:
         key = (n, p)
         if key in self.memo:
             return self.memo[key]
         if n in self.building:
-            raise CyclicValue(f"at {path}: cyclic graph has no value form")
-        p2, dd, rep = _resolve(p, path)
+            raise CyclicValue("cyclic graph has no value form")
+        p2, dd, rep = _resolve(p)
         if rep is not None:
             # The representation is on the same node, not yet marked as
             # building; rebuild it and let the abstract type judge it.
-            v = rep.from_repr(self.go(rep.repr_ty, n, path))
+            v = rep.from_repr(self.go(rep.repr_ty, n))
             if v is None:
-                raise RepresentationRejected(path)
+                raise RepresentationRejected("representation rejected")
         else:
-            fields, make = _match_node(self.graph, n, p2, dd, path)
+            fields, make = _match_node(self.graph, n, p2, dd)
             self.building.add(n)
             # Not a comprehension, which would cost a second frame per level.
             values = []
             for i, (m, fp) in enumerate(fields):
-                values.append(self.go(fp, m, f"{path}.{i}"))
+                try:
+                    values.append(self.go(fp, m))
+                except ReflectixError as e:
+                    e.under_field(i)
+                    raise
             v = make(values)
             self.building.discard(n)
         self.memo[key] = v
         return v
 
 
-def materialize(
-    t: TypeRep, g: ValueGraph, root: Optional[int] = None, path: str = "root"
-) -> Any:
+def materialize(t: TypeRep, g: ValueGraph, root: Optional[int] = None) -> Any:
     """Rebuild the library value the subgraph at root denotes.
 
     Applies _match_node's rules to every node at each type it is used
     at, so the graph need not have passed check_compat first, and
     validates each abstract value's representation with from_repr,
-    raising RepresentationRejected. Shared nodes come back as shared
-    objects. Cyclic graphs raise CyclicValue: the value layer is
-    immutable and cannot tie knots.
+    raising RepresentationRejected. A node comes back as one object
+    per type it is used at: its uses at one type share that object,
+    and its uses at different types, which a nested datatype such as
+    PolyTree makes, get one object each. Cyclic graphs raise
+    CyclicValue: the value layer is immutable and cannot tie knots.
     """
     m = _Materializer(g)
     try:
-        return m.go(t, g.root if root is None else root, path)
+        return m.go(t, g.root if root is None else root)
     except RecursionError:
         raise DepthLimitExceeded("graph nests too deeply to materialize") from None
+    except ReflectixError as e:
+        e.locate()
+        raise
 
 
 # ---------------------------------------------------------------------------

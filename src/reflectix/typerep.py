@@ -108,7 +108,7 @@ class TypeRep:
         return TypeRep, (self.head, self.args)
 
     def __repr__(self) -> str:
-        return render(self)
+        return brief(self)
 
 
 # The hash-consing table: (head, id of each argument) -> TypeRep.
@@ -174,10 +174,18 @@ def lookup_head(name: str) -> Head:
 
 
 def is_ground(p: TypePattern) -> bool:
-    """True when the pattern contains no wildcard."""
-    if p is ANY:
-        return False
-    return all(is_ground(a) for a in p.args)
+    """True when the pattern contains no wildcard. Each distinct subterm
+    is visited once, so Pair^k(Int) costs k steps, not 2^k."""
+    seen: set[int] = set()
+    todo = [p]
+    while todo:
+        q = todo.pop()
+        if q is ANY:
+            return False
+        if id(q) not in seen:
+            seen.add(id(q))
+            todo.extend(q.args)
+    return True
 
 
 def pattern_size(p: TypePattern) -> int:
@@ -186,12 +194,42 @@ def pattern_size(p: TypePattern) -> int:
 
 
 def render(p: TypePattern) -> str:
-    """Print a pattern as Head(arg1, arg2); the wildcard prints as _."""
+    """Print a pattern as Head(arg1, arg2); the wildcard prints as _.
+    Exact, for parse_type to read back; messages and repr use brief."""
     if p is ANY:
         return "_"
     if not p.args:
         return p.head.name
     return f"{p.head.name}({', '.join(render(a) for a in p.args)})"
+
+
+BRIEF_NODES = 32
+
+
+def brief(p: TypePattern) -> str:
+    """render(p) cut after its first BRIEF_NODES subterms in preorder,
+    the arguments a head has left printed as one …, so that the text
+    does not grow with the type: Pair^k(Int) has 2^k Ints.
+
+    >>> brief(List(Pair(Int, ANY)))
+    'List(Pair(Int, _))'
+    """
+    left = BRIEF_NODES
+
+    def go(q: TypePattern) -> str:
+        nonlocal left
+        left -= 1
+        if q is ANY or not q.args:
+            return render(q)
+        parts = []
+        for a in q.args:
+            if left <= 0:
+                parts.append("…")
+                break
+            parts.append(go(a))
+        return f"{q.head.name}({', '.join(parts)})"
+
+    return go(p)
 
 
 def matches(p: TypePattern, t: TypeRep) -> bool:
@@ -225,21 +263,33 @@ def compare_specificity(p: TypePattern, q: TypePattern) -> Specificity:
     The wildcard is the most general pattern; distinct concrete heads
     are incomparable (at most one of them can match any given type);
     equal heads compare lexicographically over their arguments, so
-    Pair(Int, _) is more specific than Pair(_, Int).
+    Pair(Int, _) is more specific than Pair(_, Int). As in anti_unify,
+    identical subterms are equal at once and each pair of subterms is
+    compared once per call.
     """
-    if p is ANY and q is ANY:
-        return Specificity.EQUAL
-    if p is ANY:
-        return Specificity.MORE_GENERAL
-    if q is ANY:
-        return Specificity.MORE_SPECIFIC
-    if p.head != q.head:
-        return Specificity.INCOMPARABLE
-    for a, b in zip(p.args, q.args):
-        c = compare_specificity(a, b)
-        if c is not Specificity.EQUAL:
-            return c
-    return Specificity.EQUAL
+    memo: dict[tuple[int, int], Specificity] = {}
+
+    def go(p: TypePattern, q: TypePattern) -> Specificity:
+        if p is q:
+            return Specificity.EQUAL
+        if p is ANY:
+            return Specificity.MORE_GENERAL
+        if q is ANY:
+            return Specificity.MORE_SPECIFIC
+        if p.head != q.head:
+            return Specificity.INCOMPARABLE
+        key = (id(p), id(q))
+        c = memo.get(key)
+        if c is None:
+            c = Specificity.EQUAL
+            for a, b in zip(p.args, q.args):
+                c = go(a, b)
+                if c is not Specificity.EQUAL:
+                    break
+            memo[key] = c
+        return c
+
+    return go(p, q)
 
 
 def pattern_key(p: TypePattern) -> tuple:
@@ -249,6 +299,8 @@ def pattern_key(p: TypePattern) -> tuple:
     concrete head sorts before the wildcard, so a bucket sorted by this
     key always tries more specific patterns first, independently of
     registration order. Incomparable patterns tie-break by head name.
+    The key is the preorder itself, as long as the pattern's tree, so
+    no memo shortens it: Pair^k(Int) gives 2^(k+1) - 1 entries.
     """
     out: list[tuple] = []
 

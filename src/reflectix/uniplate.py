@@ -23,7 +23,7 @@ from .effects import (
     fmap,
     traverse_list,
 )
-from .errors import ArityMismatch, FuelExhausted
+from .errors import ArityMismatch, DepthLimitExceeded, FuelExhausted
 from .typerep import TypeRep, ty_equal
 from .views import split
 
@@ -104,13 +104,21 @@ def map_family(t: TypeRep, f: Callable[[Any], Any], x: Any) -> Any:
     """Bottom-up map: children are fully rewritten before f sees x.
 
     On lists this unfolds to f (x :: f (y :: f (z :: f []))).
+    Raises DepthLimitExceeded when x nests too deeply to recurse over.
     """
-    return f(map_children(t, lambda c: map_family(t, f, c), x))
+    try:
+        return f(map_children(t, lambda c: map_family(t, f, c), x))
+    except RecursionError:
+        raise DepthLimitExceeded("value nests too deeply to map") from None
 
 
 def para(t: TypeRep, f: Callable[[Any, list], Any], x: Any) -> Any:
-    """Fold where f sees the node and its children's fold results."""
-    return f(x, [para(t, f, c) for c in children(t, x)])
+    """Fold where f sees the node and its children's fold results.
+    Raises DepthLimitExceeded when x nests too deeply to recurse over."""
+    try:
+        return f(x, [para(t, f, c) for c in children(t, x)])
+    except RecursionError:
+        raise DepthLimitExceeded("value nests too deeply to fold") from None
 
 
 def reduce_family(

@@ -37,7 +37,7 @@ from .desc import (
     view_desc,
 )
 from .errors import ArityMismatch, NoMatchingConstructor, NoView, NoRepresentation
-from .typerep import TypeRep, render
+from .typerep import TypeRep, brief
 
 # ---------------------------------------------------------------------------
 # Sum-of-products view
@@ -171,7 +171,7 @@ def sumprod(t: TypeRep) -> SumProd:
     """
     dd = view_desc(t)
     if dd is NO_DESC:
-        raise NoView(f"no sum-of-products view for {render(t)}")
+        raise NoView(f"no sum-of-products view for {brief(t)}")
     if isinstance(dd, (ScalarDesc, ArrayLikeDesc, ExtensibleDesc)):
         return Base(t)
     if isinstance(dd, SynonymDesc):
@@ -185,7 +185,7 @@ def sumprod(t: TypeRep) -> SumProd:
             v = _rep.from_repr(b)
             if v is None:
                 raise NoRepresentation(
-                    f"{render(t)} rejected a representation value"
+                    f"{brief(t)} rejected a representation value"
                 )
             return v
 
@@ -229,7 +229,7 @@ def sumprod(t: TypeRep) -> SumProd:
             fwd=lambda s: con.embed(_flat(s)),
             bck=lambda x: _nest(conap(dd, x).args),
         )
-    raise NoView(f"no sum-of-products view for {render(t)}")
+    raise NoView(f"no sum-of-products view for {brief(t)}")
 
 
 # The descriptors whose values split into a constructor and arguments.
@@ -286,7 +286,7 @@ def spine(t: TypeRep, x: Any) -> Spine:
     """
     t, dd = follow_synonyms(t)
     if not isinstance(dd, _CLOSED):
-        raise NoView(f"no spine view for {render(t)}")
+        raise NoView(f"no spine view for {brief(t)}")
     ca = conap(dd, x)
     con = ca.con
     if isinstance(dd, VariantDesc):

@@ -282,3 +282,20 @@ def test_module_entry_point(tmp_path, list_blob):
         env=_child_env(),
     )
     assert proc.returncode == 3
+
+
+def test_validate_reports_the_nested_path(capsys, tmp_path):
+    f = _graph_file(
+        tmp_path,
+        [
+            safeser.Block(0, (1, 2)),
+            safeser.Imm(1),
+            safeser.Block(0, (3, 4)),
+            safeser.Float(2.0),
+            safeser.Imm(0),
+        ],
+    )
+    assert cli.main(["validate", "--type", "List(Int)", f]) == 3
+    assert capsys.readouterr().out == (
+        "incompatible: at root.1.0: expected Int, found Float\n"
+    )

@@ -6,7 +6,7 @@ import pytest
 
 from reflectix import generics as g
 from reflectix import prelude as pl
-from reflectix.errors import NotSupported
+from reflectix.errors import DepthLimitExceeded, NotSupported
 from reflectix.exprlang import Add, Cst, Expr, Let, Neg, Var
 from reflectix.typerep import (
     Array,
@@ -224,3 +224,16 @@ def test_children_three_ways_agree_on_samples():
             x = gen(rng, 4)
             a, b, c = _children_3ways(t, x)
             assert a == b == c, render(t)
+
+
+def test_show_and_equal_refuse_deep_values_with_a_library_error():
+    e = Cst(1)
+    for _ in range(3000):
+        e = Neg(e)
+    with pytest.raises(DepthLimitExceeded):
+        g.show(Expr, e)
+    with pytest.raises(DepthLimitExceeded):
+        g.equal(Expr, e, e)
+    xs = list(range(3000))
+    with pytest.raises(DepthLimitExceeded):
+        g.equal(List(Int), xs, xs)

@@ -374,6 +374,61 @@ def test_deep_polymorphic_value_retains_bounded_descriptors():
     assert retained < 2_000_000
 
 
+def test_refusing_a_huge_expected_type_gives_a_short_message():
+    # A Float where PolyTree(Pair^30(Int)) is due, 30 levels down. The
+    # exact type text would run to about 2^31 Ints.
+    graph = _poly_spine(30, [ss.Float(1.0)])
+    data = ss.encode_graph(graph)
+    assert len(data) < 600
+    t = pl.PolyTree(Int)
+    for run in (lambda: ss.check_compat(t, graph), lambda: ss.deserialize(t, data)):
+        start = time.perf_counter()
+        with pytest.raises(Incompatible) as e:
+            run()
+        assert time.perf_counter() - start < 1.0
+        assert len(str(e.value)) < 2000
+        assert e.value.path == "root" + ".1" * 30
+        assert e.value.expected.startswith("PolyTree(Pair(Pair(")
+        assert "…" in e.value.expected
+        assert e.value.found == "Float"
+
+
+def test_materialize_gives_one_object_per_node_and_type():
+    # Uses of a node at one type share one object...
+    t = Pair(List(Int), List(Int))
+    xs = [1, 2]
+    a, b = ss.materialize(t, ss.build_graph(t, (xs, xs)))
+    assert a == xs and a is b
+    # ...and uses at different types get one object each: the spine's
+    # one Leaf node is every Node's left field, at a new type per level.
+    value = ss.deserialize(
+        pl.PolyTree(Int), ss.encode_graph(_poly_spine(5, [ss.Block(0, (0,))]))
+    )
+    lefts = []
+    while isinstance(value, pl.PolyNode):
+        lefts.append(value.left)
+        value = value.right
+    assert [leaf.n for leaf in lefts] == [3] * 5
+    assert len({id(leaf) for leaf in lefts}) == 5
+
+
+def test_errors_raised_inside_a_walk_gain_a_location():
+    with pytest.raises(MalformedValue) as e:
+        ss.serialize(List(List(Int)), [[1], (2,)])
+    assert str(e.value) == "at root.1.0: not a List value: (2,)"
+    exn = ss.encode_graph(
+        ss.ValueGraph([ss.Block(0, (1, 2)), ss.ExtCon("Nope", ()), ss.Imm(0)], 0)
+    )
+    with pytest.raises(UnknownConstructor) as e:
+        ss.deserialize(List(pl.Exn), exn)
+    assert str(e.value) == "at root.0: Exn has no constructor Nope"
+    assert e.value.path == "root.0"
+    # An error raised outside a walk has no location.
+    with pytest.raises(MalformedValue) as e:
+        ss.encode_graph(ss.ValueGraph([ss.Imm(0)], 3))
+    assert e.value.path is None
+
+
 # ---------------------------------------------------------------------------
 # Checker and materializer agreement
 
@@ -755,3 +810,77 @@ def test_synonym_cycle_refused_both_ways():
         g.show(A, 1)
     with pytest.raises(NoDescriptor, match="synonym chain too long"):
         g.equal(A, 1, 1)
+
+
+# ---------------------------------------------------------------------------
+# Error locations: the path is the field index taken at each level
+
+
+def test_nested_serialize_failure_is_located():
+    with pytest.raises(Incompatible) as e:
+        ss.serialize(List(Int), [1, 2**70])
+    assert str(e.value) == (
+        "at root.1.0: expected 64-bit integer, found integer "
+        "1180591620717411303424"
+    )
+    assert e.value.path == "root.1.0"
+    with pytest.raises(MalformedValue) as e:
+        ss.serialize(Pair(Int, List(String)), (1, ["a", "\ud800"]))
+    assert str(e.value) == (
+        "at root.1.1.0: text is not encodable as UTF-8: '\\ud800'"
+    )
+    with pytest.raises(MalformedValue) as e:
+        ss.serialize(List(Int), [1, 2, (3,)])
+    assert str(e.value) == "at root.1.1.0: int expected, got (3,)"
+
+
+def _float_in_list():
+    # [1, 2.0] at List(Int): the second element is a Float node.
+    return ss.ValueGraph(
+        [ss.Block(0, (1, 2)), ss.Imm(1), ss.Block(0, (3, 4)), ss.Float(2.0), ss.Imm(0)],
+        0,
+    )
+
+
+def test_nested_graph_failure_is_located_by_check_and_deserialize():
+    graph = _float_in_list()
+    data = ss.encode_graph(graph)
+    for run in (
+        lambda: ss.check_compat(List(Int), graph),
+        lambda: ss.materialize(List(Int), graph),
+        lambda: ss.deserialize(List(Int), data),
+    ):
+        with pytest.raises(Incompatible) as e:
+            run()
+        assert str(e.value) == "at root.1.0: expected Int, found Float"
+        assert e.value.path == "root.1.0"
+    # The same list as the second field of a pair: its nodes move up by 2.
+    shifted = [
+        ss.Block(0, tuple(r + 2 for r in n.fields)) if isinstance(n, ss.Block) else n
+        for n in graph.nodes
+    ]
+    pair = ss.ValueGraph([ss.Block(0, (1, 2)), ss.Imm(7)] + shifted, 0)
+    with pytest.raises(Incompatible) as e:
+        ss.deserialize(Pair(Int, List(Int)), ss.encode_graph(pair))
+    assert str(e.value) == "at root.1.1.0: expected Int, found Float"
+    assert e.value.path == "root.1.1.0"
+
+
+def test_rejected_representation_is_located_at_its_own_node():
+    # Nat's representation is read at the same node, adding no index.
+    data = ss.serialize(List(Int), [1, -2])
+    with pytest.raises(RepresentationRejected) as e:
+        ss.deserialize(List(pl.Nat), data)
+    assert str(e.value) == "at root.1.0: representation rejected"
+    assert e.value.path == "root.1.0"
+
+
+def test_serialize_reaches_three_hundred_cells():
+    xs = list(range(300))
+    assert ss.deserialize(List(Int), ss.serialize(List(Int), xs)) == xs
+
+
+def test_check_and_deserialize_reach_nine_hundred_cells():
+    graph = _chain_graph(900)
+    ss.check_compat(List(Int), graph)
+    assert ss.deserialize(List(Int), ss.encode_graph(graph)) == list(range(900))

@@ -4,6 +4,7 @@ import copy
 import pickle
 import sys
 import threading
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -23,6 +24,7 @@ from reflectix.typerep import (
     String,
     TypeRep,
     anti_unify,
+    brief,
     coerce,
     compare_specificity,
     declare,
@@ -285,3 +287,34 @@ def test_head_identity_is_name_module_arity():
     h2 = Head("T", ("m",), 1)
     assert h1 == h2 and hash(h1) == hash(h2)
     assert Head("T", ("other",), 1) != h1
+
+
+def _pair_power(k, leaf):
+    p = leaf
+    for _ in range(k):
+        p = Pair(p, p)
+    return p
+
+
+def test_ground_and_specificity_are_linear_in_distinct_subterms():
+    # Pair^40(Int) is 41 objects but a tree of 2^40 leaves.
+    p, q = _pair_power(40, Int), _pair_power(40, ANY)
+    start = time.perf_counter()
+    assert is_ground(p) and not is_ground(q)
+    assert not is_ground(Pair(p, Pair(Int, ANY)))
+    assert compare_specificity(p, p) is Specificity.EQUAL
+    assert compare_specificity(p, q) is Specificity.MORE_SPECIFIC
+    assert compare_specificity(q, p) is Specificity.MORE_GENERAL
+    assert compare_specificity(Pair(p, Int), Pair(p, String)) is Specificity.INCOMPARABLE
+    assert time.perf_counter() - start < 1.0
+
+
+def test_repr_is_brief_and_render_exact():
+    big = _pair_power(40, Int)
+    assert len(repr(big)) < 400
+    assert repr(big) == brief(big)
+    assert brief(big).startswith("Pair(Pair(") and "…" in brief(big)
+    mid = _pair_power(6, List(Int))
+    assert "…" in brief(mid) and "…" not in render(mid)
+    assert parse_type(render(mid)) is mid
+    assert repr(List(Pair(Int, ANY))) == "List(Pair(Int, _))"

@@ -7,7 +7,7 @@ import pytest
 from reflectix import effects as fx
 from reflectix import prelude as pl
 from reflectix import uniplate as up
-from reflectix.errors import ArityMismatch, FuelExhausted
+from reflectix.errors import ArityMismatch, DepthLimitExceeded, FuelExhausted
 from reflectix.exprlang import Add, Cst, Expr, Neg, Sub, Var
 from reflectix.typerep import Int, List, render
 
@@ -227,3 +227,15 @@ def test_scrap_leaf_rebuild():
     assert s.rebuild([]) == 42
     with pytest.raises(ArityMismatch):
         s.rebuild([1])
+
+
+def test_deep_folds_and_maps_raise_a_library_error():
+    e = Cst(1)
+    for _ in range(3000):
+        e = Neg(e)
+    with pytest.raises(DepthLimitExceeded):
+        up.para(Expr, lambda x, rs: 1 + max(rs, default=0), e)
+    with pytest.raises(DepthLimitExceeded):
+        up.map_family(Expr, lambda x: x, e)
+    with pytest.raises(DepthLimitExceeded):
+        up.reduce_family(Expr, lambda x: None, e)
