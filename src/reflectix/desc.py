@@ -18,6 +18,8 @@ pairs.
 
 from __future__ import annotations
 
+import functools
+import reprlib
 import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
@@ -246,7 +248,8 @@ class Representation:
 
 # ---------------------------------------------------------------------------
 # Registration and lookup: two tables from a head to its builder, and
-# two caches from an interned type to its builder's result.
+# per-type caches of what is built from them. view_desc and try_repr
+# keep their own; staged adds one per memoized function.
 
 DescBuilder = Callable[..., Desc]
 _descs: dict[Head, DescBuilder] = {}
@@ -255,6 +258,8 @@ _register_lock = threading.Lock()
 _CACHE_BOUND = 256
 _desc_cache: dict[TypeRep, Desc] = {}
 _repr_cache: dict[TypeRep, Optional[Representation]] = {}
+_caches: list[dict] = [_desc_cache, _repr_cache]
+_generation = 0
 
 
 def _head_of(witness: Any) -> Head:
@@ -267,14 +272,49 @@ def _head_of(witness: Any) -> Head:
     raise ArityMismatch(f"not a type witness: {witness!r}")
 
 
-def _remember(cache: dict, table: dict, t: TypeRep, builder: Any, result: Any) -> None:
-    """Store a builder's result for t, unless a registration came in
-    since the builder was looked up; empty the cache at its bound."""
+def _invalidate() -> None:
+    """Empty every per-type cache, for a registration; the caller holds
+    _register_lock. Bumping the generation keeps results that were
+    being built meanwhile out of the caches."""
+    global _generation
+    _generation += 1
+    for cache in _caches:
+        cache.clear()
+
+
+def _remember(cache: dict, t: TypeRep, generation: int, result: Any) -> None:
+    """Store a result built for t, unless a registration came in since
+    the generation was read; empty the cache at its bound."""
     with _register_lock:
-        if table.get(t.head) is builder:
+        if generation == _generation:
             if len(cache) >= _CACHE_BOUND:
                 cache.clear()
             cache[t] = result
+
+
+def staged(build: Callable[[TypeRep], Any]) -> Callable[[TypeRep], Any]:
+    """build memoized per interned type, for structure and plans that
+    depend on nothing but the type and the registrations.
+
+    The memo has view_desc's bound and invalidation: it holds at most
+    256 types, and register and register_repr empty it together with
+    the descriptor cache. A result built while a registration came in
+    is returned but not kept. build must not return None.
+    """
+    cache: dict[TypeRep, Any] = {}
+    with _register_lock:
+        _caches.append(cache)
+
+    def lookup(t: TypeRep) -> Any:
+        r = cache.get(t)
+        if r is not None:
+            return r
+        generation = _generation
+        r = build(t)
+        _remember(cache, t, generation, r)
+        return r
+
+    return functools.wraps(build)(lookup)
 
 
 def register(witness: Any, builder: DescBuilder) -> None:
@@ -290,8 +330,7 @@ def register(witness: Any, builder: DescBuilder) -> None:
         if head in _descs:
             raise DuplicateDescriptor(f"descriptor for {head.name} already registered")
         _descs[head] = builder
-        _desc_cache.clear()
-        _repr_cache.clear()
+        _invalidate()
 
 
 def view_desc(t: TypePattern) -> Desc:
@@ -303,16 +342,18 @@ def view_desc(t: TypePattern) -> Desc:
     return the same descriptor. The cache holds at most 256 types. It
     is emptied when it reaches that bound, and whenever register or
     register_repr adds a head, so a head registered after a lookup
-    returned NO_DESC is seen by the next one.
+    returned NO_DESC is seen by the next one. The memos made by staged
+    are bounded and emptied the same way.
     """
     dd = _desc_cache.get(t)
     if dd is not None:
         return dd
     if t is ANY:
         return NO_DESC
+    generation = _generation
     builder = _descs.get(t.head)
     dd = NO_DESC if builder is None else builder(*t.args)
-    _remember(_desc_cache, _descs, t, builder, dd)
+    _remember(_desc_cache, t, generation, dd)
     return dd
 
 
@@ -336,8 +377,7 @@ def register_repr(witness: Any, builder: Callable[..., Representation]) -> None:
                 f"representation for {head.name} already registered"
             )
         _reprs[head] = builder
-        _desc_cache.clear()
-        _repr_cache.clear()
+        _invalidate()
 
 
 def repr_of(t: TypeRep) -> Representation:
@@ -356,14 +396,37 @@ def try_repr(t: TypeRep) -> Optional[Representation]:
         return r
     if t is ANY:
         return None
+    generation = _generation
     builder = _reprs.get(t.head)
     r = None if builder is None else builder(*t.args)
-    _remember(_repr_cache, _reprs, t, builder, r)
+    _remember(_repr_cache, t, generation, r)
     return r
 
 
 # ---------------------------------------------------------------------------
 # Taking values apart
+
+BRIEF_CHARS = 160
+_value_repr = reprlib.Repr()
+_value_repr.maxlevel = 3
+
+
+def brief_value(v: Any) -> str:
+    """repr(v) with long containers, text and numbers elided and the
+    whole cut at BRIEF_CHARS characters, so that the message refusing
+    a value does not grow with it; brief is the same for types. An int
+    too long for Python to print gives its class instead.
+
+    >>> brief_value((2,))
+    '(2,)'
+    >>> brief_value(tuple(range(100000)))
+    '(0, 1, 2, 3, 4, 5, ...)'
+    """
+    try:
+        text = _value_repr.repr(v)
+    except ValueError:
+        text = f"<{type(v).__name__} object>"
+    return text if len(text) <= BRIEF_CHARS else text[: BRIEF_CHARS - 1] + "…"
 
 
 def conap(dd: Desc, x: Any) -> ConApp:
@@ -394,13 +457,13 @@ def conap(dd: Desc, x: Any) -> ConApp:
         con = dd.con
     elif isinstance(dd, ExtensibleDesc):
         if not isinstance(x, ExtValue):
-            raise MalformedValue(f"not a {dd.name} value: {x!r}")
+            raise MalformedValue(f"not a {dd.name} value: {brief_value(x)}")
         con = ext_find(dd, x.con.name)
     else:
         raise NoView(f"{dd!r} has no constructors")
     args = con.proj(x)
     if args is None:
-        raise MalformedValue(f"not a {con.name} value: {x!r}")
+        raise MalformedValue(f"not a {con.name} value: {brief_value(x)}")
     return ConApp(con, args)
 
 
@@ -430,7 +493,7 @@ def check_leaf(kind: str, v: Any) -> Any:
     else:
         ok = kind == "array" and type(v) is list
     if not ok:
-        raise MalformedValue(f"{kind} expected, got {v!r}")
+        raise MalformedValue(f"{kind} expected, got {brief_value(v)}")
     return v
 
 
@@ -539,7 +602,7 @@ def classify_by_class(
     def classify(x: Any) -> tuple[str, int]:
         entry = mapping.get(type(x))
         if entry is None:
-            raise MalformedValue(f"not a {variant_name} value: {x!r}")
+            raise MalformedValue(f"not a {variant_name} value: {brief_value(x)}")
         return entry
 
     return classify

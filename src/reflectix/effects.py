@@ -61,6 +61,10 @@ class Effectful:
 
 
 def _expect(brand: Brand, v: Any) -> Any:
+    # Brands are nearly always the interpreter's own object; only a
+    # distinct brand pays for the structural comparison.
+    if isinstance(v, Effectful) and v.brand is brand:
+        return v.payload
     if not isinstance(v, Effectful) or v.brand != brand:
         got = v.brand if isinstance(v, Effectful) else type(v).__name__
         raise BrandMismatch(f"expected {brand!r}, got {got!r}")

@@ -26,7 +26,7 @@ from .effects import (
     state_monad,
     incr,
 )
-from .errors import ParseError
+from .errors import DepthLimitExceeded, ParseError
 from .typerep import Int, String, declare
 from .uniplate import (
     DEFAULT_FUEL,
@@ -108,20 +108,28 @@ d.register(
 
 
 def print_expr(e: Any) -> str:
-    """Render a term as an s-expression; parse_expr inverts this."""
+    """Render a term as an s-expression; parse_expr inverts this.
+    Raises DepthLimitExceeded when e nests too deeply to recurse over."""
+    try:
+        return _print_term(e)
+    except RecursionError:
+        raise DepthLimitExceeded("term nests too deeply to print") from None
+
+
+def _print_term(e: Any) -> str:
     if isinstance(e, Cst):
         return f"(cst {e.value})"
     if isinstance(e, Neg):
-        return f"(neg {print_expr(e.expr)})"
+        return f"(neg {_print_term(e.expr)})"
     if isinstance(e, Add):
-        return f"(add {print_expr(e.left)} {print_expr(e.right)})"
+        return f"(add {_print_term(e.left)} {_print_term(e.right)})"
     if isinstance(e, Sub):
-        return f"(sub {print_expr(e.left)} {print_expr(e.right)})"
+        return f"(sub {_print_term(e.left)} {_print_term(e.right)})"
     if isinstance(e, Var):
         return f"(var {e.name})"
     if isinstance(e, Let):
-        return f"(let {e.name} {print_expr(e.defn)} {print_expr(e.body)})"
-    raise ParseError(0, 0, f"not an expression: {e!r}")
+        return f"(let {e.name} {_print_term(e.defn)} {_print_term(e.body)})"
+    raise ParseError(0, 0, f"not an expression: {d.brief_value(e)}")
 
 
 class _Lexer:
@@ -156,9 +164,13 @@ class _Lexer:
 
 
 def parse_expr(text: str) -> Any:
-    """Parse an s-expression term; errors carry line and column."""
+    """Parse an s-expression term; errors carry line and column.
+    Raises DepthLimitExceeded when the term nests too deeply to parse."""
     lx = _Lexer(text)
-    e = _parse_term(lx)
+    try:
+        e = _parse_term(lx)
+    except RecursionError:
+        raise DepthLimitExceeded("term nests too deeply to parse") from None
     lx.skip_ws()
     if lx.pos != len(lx.text):
         raise lx.error("trailing input after expression")
@@ -266,6 +278,7 @@ def abstract_constants(e: Any) -> tuple[Any, int]:
 
     Numbering follows a left-to-right bottom-up traversal under the
     state monad; returns the rewritten term and the final counter.
+    Raises DepthLimitExceeded when e nests too deeply to recurse over.
     """
     m = state_monad()
 
@@ -274,7 +287,10 @@ def abstract_constants(e: Any) -> tuple[Any, int]:
             return m.bind(incr(), lambda i: m.pure(Var(f"x{i}")))
         return m.pure(x)
 
-    return run_state(traverse_family(m, Expr, f, e), 0)
+    try:
+        return run_state(traverse_family(m, Expr, f, e), 0)
+    except RecursionError:
+        raise DepthLimitExceeded("term nests too deeply to number") from None
 
 
 def free_vars(e: Any) -> list[str]:
@@ -283,6 +299,7 @@ def free_vars(e: Any) -> list[str]:
     A let extends the scope around the combined results of all its
     children, the definition included, so a variable matching the
     binder never escapes even from the definition position.
+    Raises DepthLimitExceeded when e nests too deeply to recurse over.
     """
     m = reader_monad()
 
@@ -300,7 +317,10 @@ def free_vars(e: Any) -> list[str]:
             return local(lambda scope: scope + [x.name], combined)
         return combined
 
-    return run_reader(para(Expr, step, e), [])
+    try:
+        return run_reader(para(Expr, step, e), [])
+    except RecursionError:
+        raise DepthLimitExceeded("term nests too deeply to scope") from None
 
 
 def constants(e: Any) -> list[int]:

@@ -8,7 +8,8 @@ All of them work on any registered type without per-type code.
 
 from __future__ import annotations
 
-from typing import Any
+from itertools import repeat
+from typing import Any, Callable
 
 from . import extfun
 from .desc import (
@@ -21,9 +22,11 @@ from .desc import (
     ScalarDesc,
     SynonymDesc,
     VariantDesc,
+    brief_value,
     check_leaf,
     conap,
     follow_synonyms,
+    staged,
     try_repr,
     view_desc,
 )
@@ -92,7 +95,7 @@ show_fun.extend(Fun(ANY, ANY), lambda t, x: "<fun>")
 
 def _show_list(t: TypeRep, x: Any) -> str:
     if type(x) is not list:
-        raise MalformedValue(f"not a List value: {x!r}")
+        raise MalformedValue(f"not a List value: {brief_value(x)}")
     return "[" + "; ".join(show(t.args[0], e) for e in x) + "]"
 
 
@@ -135,59 +138,156 @@ show_fun.extend(ANY, _show_generic)
 # equal
 
 
+# Values nested deeper than this many levels are refused, which keeps
+# the work bounded on inputs whose every level costs O(n), such as the
+# suffixes that List's cons cells project.
+EQUAL_DEPTH = 256
+_TOO_DEEP = "values nest too deeply to compare"
+
+
 def equal(t: TypeRep, x: Any, y: Any) -> bool:
     """Structural equality at type t via the sum-of-products view.
-    Raises DepthLimitExceeded when x or y nests too deeply to recurse over."""
+
+    Each value is compared one level at a time by a plan compiled once
+    per type from sumprod(t). A plan stops at every delayed argument
+    and hands it back as (type, x, y); equal keeps those on a stack of
+    levels, in preorder, and finds each one's plan through the same
+    per-type memo, which shares the descriptor cache's bound and
+    invalidation. Raises DepthLimitExceeded when x or y nests more
+    than EQUAL_DEPTH levels deep.
+    """
+    levels = [[(t, x, y)]]  # per level, the arguments still to compare, last first
+    below: list = []
+    try:
+        while levels:
+            todo = levels[-1]
+            if not todo:
+                levels.pop()
+                continue
+            t, x, y = todo.pop()
+            if not _equal_plan(t)(x, y, below):
+                return False
+            if below:
+                if len(levels) > EQUAL_DEPTH:
+                    raise DepthLimitExceeded(_TOO_DEEP)
+                below.reverse()
+                levels.append(below)
+                below = []
+    except RecursionError:
+        raise DepthLimitExceeded(_TOO_DEEP) from None
+    return True
+
+
+# A plan step compares what one level of two values holds in place and
+# appends each delayed argument as (type, x, y); False when they differ.
+Step = Callable[[Any, Any, list], bool]
+
+
+@staged
+def _equal_plan(t: TypeRep) -> Step:
     try:
         sp = sumprod(t)
     except NoView:
         raise NotSupported("equal", brief(t)) from None
-    try:
-        return _equal_sp(sp, x, y)
-    except RecursionError:
-        raise DepthLimitExceeded("values nest too deeply to compare") from None
+    return _compile(sp)
 
 
-def _equal_sp(sp: Any, x: Any, y: Any) -> bool:
+def _compile(sp: Any) -> Step:
     if isinstance(sp, IsoSP):
-        return _equal_sp(sp.inner, sp.bck(x), sp.bck(y))
+        inner, bck = _compile(sp.inner), sp.bck
+        return lambda x, y, below: inner(bck(x), bck(y), below)
     if isinstance(sp, Sum):
-        if isinstance(x, Left) and isinstance(y, Left):
-            return _equal_sp(sp.left, x.value, y.value)
-        if isinstance(x, Right) and isinstance(y, Right):
-            return _equal_sp(sp.right, x.value, y.value)
-        return False
+        return _compile_sum(sp)
     if isinstance(sp, Prod):
-        return _equal_sp(sp.left, x[0], y[0]) and _equal_sp(sp.right, x[1], y[1])
+        return _compile_prod(sp)
     if isinstance(sp, (Con, FieldTag)):
-        return _equal_sp(sp.inner, x, y)
+        return _compile(sp.inner)
     if isinstance(sp, Delay):
-        return equal(sp.rep, x, y)
+        rep = sp.rep
+        return lambda x, y, below: below.append((rep, x, y)) or True
     if sp is UNIT or sp is EMPTY:
-        return True
+        return _same_unit
     if isinstance(sp, Base):
-        return _equal_base(sp.rep, x, y)
+        return _compile_base(sp.rep)
     raise NotSupported("equal", repr(sp))
 
 
-def _equal_base(t: TypeRep, x: Any, y: Any) -> bool:
+def _same_unit(x: Any, y: Any, below: list) -> bool:
+    return True
+
+
+def _compile_sum(sp: Sum) -> Step:
+    """A right-nested sum compared in one loop over its branches."""
+    branches = []
+    while isinstance(sp, Sum):
+        branches.append(_compile(sp.left))
+        sp = sp.right
+    last = _compile(sp)
+
+    def same_sum(x: Any, y: Any, below: list) -> bool:
+        for branch in branches:
+            if isinstance(x, Left):
+                return isinstance(y, Left) and branch(x.value, y.value, below)
+            if not (isinstance(x, Right) and isinstance(y, Right)):
+                return False
+            x, y = x.value, y.value
+        return last(x, y, below)
+
+    return same_sum
+
+
+def _compile_prod(sp: Prod) -> Step:
+    """A right-nested product compared in one loop over its items. A
+    delayed item is kept as its type and handed back directly."""
+    items: list = []
+    while isinstance(sp, Prod):
+        item = sp.left
+        while isinstance(item, FieldTag):
+            item = item.inner
+        items.append(item.rep if isinstance(item, Delay) else _compile(item))
+        sp = sp.right
+    last = _compile(sp)
+
+    def same_prod(x: Any, y: Any, below: list) -> bool:
+        for item in items:
+            if isinstance(item, TypeRep):
+                below.append((item, x[0], y[0]))
+            elif not item(x[0], y[0], below):
+                return False
+            x, y = x[1], y[1]
+        return last(x, y, below)
+
+    return same_prod
+
+
+def _compile_base(t: TypeRep) -> Step:
     dd = view_desc(t)
     if isinstance(dd, ScalarDesc):
-        return check_leaf(dd.kind, x) == check_leaf(dd.kind, y)
+        kind = dd.kind
+        return lambda x, y, below: check_leaf(kind, x) == check_leaf(kind, y)
     if isinstance(dd, ArrayLikeDesc):
-        xs, ys = check_leaf("array", x), check_leaf("array", y)
-        return len(xs) == len(ys) and all(
-            equal(dd.elem, a, b) for a, b in zip(xs, ys)
-        )
+        elem = dd.elem
+
+        def same_array(x: Any, y: Any, below: list) -> bool:
+            xs, ys = check_leaf("array", x), check_leaf("array", y)
+            if len(xs) != len(ys):
+                return False
+            below.extend(zip(repeat(elem), xs, ys))
+            return True
+
+        return same_array
     if isinstance(dd, ExtensibleDesc):
-        cx, cy = conap(dd, x), conap(dd, y)
-        if cx.con is not cy.con:
-            return False
-        return all(
-            equal(f.ty, vx, vy) for f, vx, vy in zip(cx.con.fields, cx.args, cy.args)
-        )
+
+        def same_ext(x: Any, y: Any, below: list) -> bool:
+            cx, cy = conap(dd, x), conap(dd, y)
+            if cx.con is not cy.con:
+                return False
+            below.extend(zip((f.ty for f in cx.con.fields), cx.args, cy.args))
+            return True
+
+        return same_ext
     # Representation-less abstract types fall back to the host equality.
-    return x == y
+    return lambda x, y, below: x == y
 
 
 # ---------------------------------------------------------------------------

@@ -49,7 +49,7 @@ d.register(Fun, lambda a, b: d.NO_DESC)
 
 def _classify_bool(x: Any) -> tuple[str, int]:
     if type(x) is not bool:
-        raise MalformedValue(f"not a Bool value: {x!r}")
+        raise MalformedValue(f"not a Bool value: {d.brief_value(x)}")
     return ("cst", 1 if x else 0)
 
 
@@ -89,7 +89,7 @@ d.register(Pair, lambda a, b: _tuple_desc("Pair", a, b))
 
 def _classify_list(xs: Any) -> tuple[str, int]:
     if type(xs) is not list:
-        raise MalformedValue(f"not a List value: {xs!r}")
+        raise MalformedValue(f"not a List value: {d.brief_value(xs)}")
     return ("cst", 0) if not xs else ("ncst", 0)
 
 

@@ -144,12 +144,12 @@ def encode_graph(g: ValueGraph) -> bytes:
     for node in g.nodes:
         if isinstance(node, Imm):
             if not _I64_MIN <= node.value <= _I64_MAX:
-                raise MalformedValue(f"immediate {node.value} exceeds 64 bits")
+                raise MalformedValue(f"immediate {d.brief_value(node.value)} exceeds 64 bits")
             out += b"\x00" + struct.pack("<q", node.value)
         elif isinstance(node, Block):
             _check_refs(node.fields, n)
             if node.tag > _U32_MAX:
-                raise MalformedValue(f"block tag {node.tag} exceeds 32 bits")
+                raise MalformedValue(f"block tag {d.brief_value(node.tag)} exceeds 32 bits")
             out += b"\x01" + struct.pack("<II", node.tag, len(node.fields))
             out += struct.pack(f"<{len(node.fields)}I", *node.fields)
         elif isinstance(node, Bytes):
@@ -167,7 +167,7 @@ def encode_graph(g: ValueGraph) -> bytes:
             out += struct.pack("<I", len(node.fields))
             out += struct.pack(f"<{len(node.fields)}I", *node.fields)
         else:
-            raise MalformedValue(f"not a graph node: {node!r}")
+            raise MalformedValue(f"not a graph node: {d.brief_value(node)}")
     return bytes(out)
 
 
@@ -315,7 +315,7 @@ class _Builder:
             d.check_leaf(dd.kind, v)
             if dd.kind == "int":
                 if not _I64_MIN <= v <= _I64_MAX:
-                    raise Incompatible("64-bit integer", f"integer {v}")
+                    raise Incompatible("64-bit integer", f"integer {d.brief_value(v)}")
                 return Imm(v)
             if dd.kind == "char":
                 return Imm(ord(v))
@@ -324,7 +324,7 @@ class _Builder:
                     return Bytes(v.encode("utf-8"))
                 except UnicodeEncodeError:
                     raise MalformedValue(
-                        f"text is not encodable as UTF-8: {v!r}"
+                        f"text is not encodable as UTF-8: {d.brief_value(v)}"
                     ) from None
             return Float(v)
         if isinstance(dd, d.ArrayLikeDesc):

@@ -23,9 +23,10 @@ from .effects import (
     fmap,
     traverse_list,
 )
+from .desc import Desc, conap, follow_synonyms, staged
 from .errors import ArityMismatch, DepthLimitExceeded, FuelExhausted
 from .typerep import TypeRep, ty_equal
-from .views import split
+from .views import constructors
 
 DEFAULT_FUEL = 10**6
 
@@ -38,26 +39,50 @@ class Scrap:
     rebuild: Callable[[Sequence[Any]], Any]
 
 
+@dataclass(frozen=True)
+class _ScrapPlan:
+    """t's descriptor past its synonyms, None for a leaf type, and the
+    positions of the arguments typed t, by constructor identity."""
+
+    dd: Optional[Desc]
+    positions: dict[int, tuple[int, ...]]
+
+
+@staged
+def _scrap_plan(t: TypeRep) -> _ScrapPlan:
+    dd = follow_synonyms(t)[1]
+    cons = constructors(dd)
+    if cons is None:
+        return _ScrapPlan(None, {})
+    return _ScrapPlan(dd, {
+        id(c): tuple(
+            i for i, f in enumerate(c.fields) if ty_equal(f.ty, t) is not None
+        )
+        for c in cons
+    })
+
+
 def scrap(t: TypeRep, x: Any) -> Scrap:
     """Split x into children and rebuild.
 
     Types without constructors (scalars, functions, abstract types)
     are leaves: no children, and rebuild returns x itself. rebuild
     raises ArityMismatch when handed the wrong number of children.
+    Which arguments are children is planned once per type; the plan
+    shares the descriptor cache's bound and invalidation.
     """
-    ca = split(t, x)
-    if ca is None:
+    plan = _scrap_plan(t)
+    if plan.dd is None:
         def rebuild_leaf(new: Sequence[Any]) -> Any:
             if len(new) != 0:
                 raise ArityMismatch("leaf rebuild expects no children")
             return x
 
         return Scrap([], rebuild_leaf)
+    ca = conap(plan.dd, x)
     con = ca.con
     flat = ca.args
-    positions = [
-        i for i, f in enumerate(con.fields) if ty_equal(f.ty, t) is not None
-    ]
+    positions = plan.positions[id(con)]
 
     def rebuild(new: Sequence[Any]) -> Any:
         if len(new) != len(positions):
@@ -159,10 +184,14 @@ def traverse_children(
 def traverse_family(
     m: MonadDict, t: TypeRep, f: Callable[[Any], Any], x: Any
 ) -> Any:
-    """Effectful bottom-up map over the whole family."""
+    """Effectful bottom-up map over the whole family.
+    Raises DepthLimitExceeded when x nests too deeply to recurse over."""
     a = app_of_mon(m)
-    inner = traverse_children(a, t, lambda c: traverse_family(m, t, f, c), x)
-    return m.bind(inner, f)
+    try:
+        inner = traverse_children(a, t, lambda c: traverse_family(m, t, f, c), x)
+        return m.bind(inner, f)
+    except RecursionError:
+        raise DepthLimitExceeded("value nests too deeply to traverse") from None
 
 
 def mreduce_family(

@@ -25,6 +25,7 @@ from .desc import (
     ArrayLikeDesc,
     ConApp,
     Constructor,
+    Desc,
     ExtensibleDesc,
     ProductDesc,
     RecordDesc,
@@ -33,6 +34,7 @@ from .desc import (
     VariantDesc,
     conap,
     follow_synonyms,
+    staged,
     try_repr,
     view_desc,
 )
@@ -45,6 +47,8 @@ from .typerep import TypeRep, brief
 
 class SumProd:
     """Base class of sum-of-products structure nodes."""
+
+    __slots__ = ()
 
 
 class _Empty(SumProd):
@@ -61,19 +65,19 @@ EMPTY = _Empty()
 UNIT = _Unit()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sum(SumProd):
     left: SumProd
     right: SumProd
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Prod(SumProd):
     left: SumProd
     right: SumProd
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Con(SumProd):
     """Marks a constructor; its value form is the inner value."""
 
@@ -81,7 +85,7 @@ class Con(SumProd):
     inner: SumProd
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FieldTag(SumProd):
     """Marks a named record field around the inner structure."""
 
@@ -89,21 +93,21 @@ class FieldTag(SumProd):
     inner: SumProd
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Base(SumProd):
     """A type handled ad hoc by each generic function."""
 
     rep: TypeRep
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Delay(SumProd):
     """A constructor argument position, held by representation."""
 
     rep: TypeRep
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IsoSP(SumProd):
     """Wraps structure whose values differ from the user-facing ones."""
 
@@ -112,12 +116,12 @@ class IsoSP(SumProd):
     bck: Callable[[Any], Any]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Left:
     value: Any
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Right:
     value: Any
 
@@ -158,6 +162,7 @@ def _sum_value(index: int, total: int, payload: Any) -> Any:
     return Right(_sum_value(index - 1, total - 1, payload))
 
 
+@staged
 def sumprod(t: TypeRep) -> SumProd:
     """The sum-of-products structure of t.
 
@@ -168,6 +173,10 @@ def sumprod(t: TypeRep) -> SumProd:
     argument is delayed. bck gives the arguments as pairs nested to the
     right and ending in (), inside Left/Right for variants; fwd rebuilds
     the value from them.
+
+    The structure is built once per type: it shares the descriptor
+    cache's bound and invalidation (desc.staged), and sumprod(t)
+    returns the same object while t stays cached.
     """
     dd = view_desc(t)
     if dd is NO_DESC:
@@ -198,14 +207,17 @@ def sumprod(t: TypeRep) -> SumProd:
             structure = branches[-1]
             for b in reversed(branches[:-1]):
                 structure = Sum(b, structure)
+        # Constructors by identity: a Constructor's == compares fields.
+        index = {id(c): i for i, c in enumerate(dd.cons)}
+        total = len(dd.cons)
 
         def bck(x: Any, _v=dd) -> Any:
             ca = conap(_v, x)
-            return _sum_value(_v.cons.index(ca.con), len(_v.cons), _nest(ca.args))
+            return _sum_value(index[id(ca.con)], total, _nest(ca.args))
 
         def fwd(s: Any, _v=dd) -> Any:
             idx = 0
-            remaining = len(_v.cons)
+            remaining = total
             while remaining > 1 and isinstance(s, Right):
                 s = s.value
                 idx += 1
@@ -236,6 +248,17 @@ def sumprod(t: TypeRep) -> SumProd:
 # Extensible values have constructors too, but the views and traversals
 # keep them as leaves.
 _CLOSED = (VariantDesc, RecordDesc, ProductDesc)
+
+
+def constructors(dd: Desc) -> Optional[tuple[Constructor, ...]]:
+    """The constructors a closed descriptor splits values into, in
+    declaration order; None for every other descriptor."""
+    if isinstance(dd, VariantDesc):
+        return dd.cons
+    if isinstance(dd, (RecordDesc, ProductDesc)):
+        return (dd.con,)
+    return None
+
 
 # ---------------------------------------------------------------------------
 # Spine view
@@ -277,29 +300,48 @@ class App:
 Spine = Any  # ConNode | App
 
 
+@dataclass(frozen=True)
+class _SpinePlan:
+    dd: Desc
+    metas: dict[int, ConMeta]  # by id of each of dd's constructors
+
+
+@staged
+def _spine_plan(t: TypeRep) -> _SpinePlan:
+    t, dd = follow_synonyms(t)
+    if isinstance(dd, VariantDesc):
+        variant, module_path = dd.name, dd.module_path
+        tagged = [
+            (c, kind, tag)
+            for kind, table in (("cst", dd.cst), ("ncst", dd.ncst))
+            for tag, c in enumerate(table)
+        ]
+    elif isinstance(dd, RecordDesc):
+        variant, module_path = dd.name, dd.module_path
+        tagged = [(dd.con, "record", 0)]
+    elif isinstance(dd, ProductDesc):
+        variant, module_path = t.head.name, t.head.module_path
+        tagged = [(dd.con, "product", 0)]
+    else:
+        raise NoView(f"no spine view for {brief(t)}")
+    return _SpinePlan(dd, {
+        id(c): ConMeta(c.name, variant, module_path, c.arity, kind, tag)
+        for c, kind, tag in tagged
+    })
+
+
 def spine(t: TypeRep, x: Any) -> Spine:
     """Split x into constructor and argument applications.
 
     Defined for variants, records, bare products and their synonyms;
     the leftmost argument sits innermost, so rebuild folds applications
-    back on in declaration order.
+    back on in declaration order. Each constructor's meta is made once
+    per type and found by the constructor's identity.
     """
-    t, dd = follow_synonyms(t)
-    if not isinstance(dd, _CLOSED):
-        raise NoView(f"no spine view for {brief(t)}")
-    ca = conap(dd, x)
+    plan = _spine_plan(t)
+    ca = conap(plan.dd, x)
     con = ca.con
-    if isinstance(dd, VariantDesc):
-        variant = dd.name
-        module_path = dd.module_path
-        kind = "cst" if con.arity == 0 else "ncst"
-        tag = (dd.cst if con.arity == 0 else dd.ncst).index(con)
-    elif isinstance(dd, RecordDesc):
-        variant, module_path, kind, tag = dd.name, dd.module_path, "record", 0
-    else:
-        variant, module_path, kind, tag = t.head.name, t.head.module_path, "product", 0
-    meta = ConMeta(con.name, variant, module_path, con.arity, kind, tag)
-    s: Spine = ConNode(con.embed, meta)
+    s: Spine = ConNode(con.embed, plan.metas[id(con)])
     for f, v in zip(con.fields, ca.args):
         s = App(s, f.ty, v)
     return s
@@ -328,12 +370,7 @@ def conlist(t: TypeRep) -> list[Constructor]:
     products have their one constructor; every other category,
     extensible types included, has none.
     """
-    dd = follow_synonyms(t)[1]
-    if isinstance(dd, VariantDesc):
-        return list(dd.cons)
-    if isinstance(dd, (RecordDesc, ProductDesc)):
-        return [dd.con]
-    return []
+    return list(constructors(follow_synonyms(t)[1]) or ())
 
 
 def split(t: TypeRep, x: Any) -> Optional[ConApp]:

@@ -75,3 +75,19 @@ def test_value_outside_its_type_is_malformed(name, t, x):
 def test_conap_without_constructors_is_a_library_error():
     with pytest.raises(ReflectixError):
         conap(view_desc(Int), 5)
+
+
+@pytest.mark.parametrize("name", ["serialize", "show", "equal", "conap"])
+def test_refusing_a_huge_value_gives_a_short_message(name):
+    # A tuple where a list is due: its full repr runs to about 690,000
+    # characters.
+    with pytest.raises(MalformedValue) as e:
+        ENTRY_POINTS[name](List(Int), tuple(range(100000)))
+    assert len(str(e.value)) < 300
+    assert "(0, 1, 2" in str(e.value)
+
+
+def test_refusing_a_huge_integer_is_a_library_error():
+    # Python refuses to print an int of more than 4300 digits.
+    with pytest.raises(ReflectixError):
+        serialize(Int, 10**5000)

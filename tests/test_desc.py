@@ -1,11 +1,16 @@
 """Descriptors: products, constructors, registries, representations."""
 
+import gc
 import random
+import tracemalloc
+from dataclasses import dataclass
+from typing import Any
 
 import pytest
 
 from reflectix import desc as d
 from reflectix import prelude as pl
+from reflectix import uniplate as up
 from reflectix import views as v
 from reflectix.errors import (
     DuplicateConstructor,
@@ -13,11 +18,23 @@ from reflectix.errors import (
     IndexOutOfRange,
     MalformedValue,
     NoRepresentation,
+    NotSupported,
+    NoView,
     UnknownConstructor,
 )
 from reflectix.exprlang import Add, Cst, Expr, Let, Neg, Sub, Var
-from reflectix.generics import equal
-from reflectix.typerep import ANY, Bool, Int, List, Pair, String, Unit, declare
+from reflectix.generics import EQUAL_DEPTH, children_sumprod, equal
+from reflectix.typerep import (
+    ANY,
+    Bool,
+    EqualityWitness,
+    Int,
+    List,
+    Pair,
+    String,
+    Unit,
+    declare,
+)
 
 from conftest import TYPED_GENERATORS, gen_exn
 
@@ -361,3 +378,123 @@ def test_cache_stays_within_its_bound():
         t = Box(t)
         assert d.view_desc(t).elem is t.args[0]
         assert len(d._desc_cache) <= d._CACHE_BOUND
+
+
+# ---------------------------------------------------------------------------
+# Per-type structure and plans, memoized with the descriptor cache
+
+
+@dataclass(frozen=True)
+class _Wrap:
+    inner: Any
+
+
+def test_sumprod_is_built_once_per_type():
+    assert v.sumprod(pl.Btree(Int)) is v.sumprod(pl.Btree(Int))
+    assert v.sumprod(Expr) is v.sumprod(Expr)
+
+
+def test_register_after_a_miss_is_seen_by_the_plans():
+    Late = declare("LatePlanDemo", 0, ("tests",))
+    Alias = declare("LatePlanAlias", 0, ("tests",))
+    d.register(Alias, lambda: d.SynonymDesc(Late, EqualityWitness(Alias, Late)))
+    x, y = _Wrap(_Wrap(None)), _Wrap(None)
+    # Before Late has a descriptor, it is a leaf without a view, and
+    # Alias's structure and plans stop at it.
+    assert isinstance(v.sumprod(Alias), v.Delay)
+    with pytest.raises(NoView):
+        v.sumprod(Late)
+    with pytest.raises(NotSupported):
+        equal(Alias, x, x)
+    assert up.scrap(Late, x).children == []
+    assert up.scrap(Alias, x).children == []
+    d.register(
+        Late,
+        lambda: d.VariantDesc(
+            "LatePlanDemo",
+            ("tests",),
+            (
+                d.constant_constructor("Stop", None),
+                d.class_constructor(_Wrap, (("inner", Late),), name="Wrap"),
+            ),
+            d.classify_by_class(
+                "LatePlanDemo", {type(None): ("cst", 0), _Wrap: ("ncst", 0)}
+            ),
+        ),
+    )
+    assert isinstance(v.sumprod(Late), v.IsoSP)
+    assert equal(Alias, x, x) and not equal(Alias, x, y)
+    assert equal(Late, x, _Wrap(_Wrap(None)))
+    assert up.scrap(Late, x).children == [x.inner]
+    assert up.scrap(Late, x).rebuild([None]) == y
+
+
+class _Token:
+    """Equal only to itself on the host; its representation is n."""
+
+    def __init__(self, n: int):
+        self.n = n
+
+
+def test_register_repr_after_a_base_view_gives_an_iso():
+    T = declare("LateReprPlanDemo", 0, ("tests",))
+    d.register(T, lambda: d.AbstractDesc("LateReprPlanDemo", ("tests",)))
+    sp = v.sumprod(T)
+    assert sp == v.Base(T) and v.sumprod(T) is sp
+    assert not equal(T, _Token(1), _Token(1))
+    d.register_repr(T, lambda: d.Representation(Int, lambda x: x.n, _Token))
+    assert isinstance(v.sumprod(T), v.IsoSP)
+    assert equal(T, _Token(1), _Token(1))
+    assert not equal(T, _Token(1), _Token(2))
+
+
+def test_plans_stay_within_the_cache_bound():
+    Box = declare("PlanBoundDemo", 1, ("tests",))
+    Bag = declare("PlanBoundBag", 1, ("tests",))
+
+    def proj(p: Any) -> Any:
+        return p if isinstance(p, tuple) and len(p) == 1 else None
+
+    d.register(
+        Box,
+        lambda a: d.ProductDesc(
+            d.Constructor("PlanBoundDemo", (d.Field("", a),), tuple, proj)
+        ),
+    )
+    d.register(Bag, d.ArrayLikeDesc)
+    t = Int
+    for _ in range(3 * d._CACHE_BOUND):
+        t = Box(t)
+        assert isinstance(v.sumprod(t), v.IsoSP)
+        assert equal(Bag(t), [], [])
+        assert up.scrap(t, (None,)).children == []
+        assert v.spine(t, (None,)).fun.meta.kind == "product"
+        assert all(len(c) <= d._CACHE_BOUND for c in d._caches)
+
+
+def test_deep_polymorphic_plans_retain_bounded_memory():
+    # PolyTree's Node holds a PolyTree(Pair(a, a)), so each level of
+    # this spine is compared and split at a type of its own: one
+    # structure and one plan per level, none of which may hold the
+    # next level's alive.
+    depth = EQUAL_DEPTH - 6
+    x = y = pl.PolyLeaf(0)
+    for _ in range(depth):
+        x, y = pl.PolyNode(pl.PolyLeaf(1), x), pl.PolyNode(pl.PolyLeaf(1), y)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert equal(pl.PolyTree(Int), x, y)
+        t, node, levels = pl.PolyTree(Int), x, 0
+        while isinstance(node, pl.PolyNode):
+            assert up.children(t, node) == [node.left]
+            assert children_sumprod(t, node) == [node.left]
+            t, node, levels = pl.PolyTree(Pair(t.args[0], t.args[0])), node.right, levels + 1
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert levels == depth
+    assert all(len(c) <= d._CACHE_BOUND for c in d._caches)
+    assert retained < 2_000_000

@@ -8,7 +8,18 @@ from reflectix import effects as fx
 from reflectix import prelude as pl
 from reflectix import uniplate as up
 from reflectix.errors import ArityMismatch, DepthLimitExceeded, FuelExhausted
-from reflectix.exprlang import Add, Cst, Expr, Neg, Sub, Var
+from reflectix.exprlang import (
+    Add,
+    Cst,
+    Expr,
+    Neg,
+    Sub,
+    Var,
+    abstract_constants,
+    free_vars,
+    parse_expr,
+    print_expr,
+)
 from reflectix.typerep import Int, List, render
 
 from conftest import TYPED_GENERATORS
@@ -239,3 +250,28 @@ def test_deep_folds_and_maps_raise_a_library_error():
         up.map_family(Expr, lambda x: x, e)
     with pytest.raises(DepthLimitExceeded):
         up.reduce_family(Expr, lambda x: None, e)
+    m = fx.identity_monad()
+    with pytest.raises(DepthLimitExceeded):
+        up.traverse_family(m, Expr, m.pure, e)
+    with pytest.raises(DepthLimitExceeded):
+        up.mreduce_family(m, Expr, lambda x: m.pure(None), e)
+    with pytest.raises(DepthLimitExceeded):
+        abstract_constants(e)
+    with pytest.raises(DepthLimitExceeded):
+        free_vars(e)
+    with pytest.raises(DepthLimitExceeded):
+        print_expr(e)
+    with pytest.raises(DepthLimitExceeded):
+        parse_expr("(neg " * 3000 + "(cst 1)" + ")" * 3000)
+
+
+def test_effectful_passes_refuse_deep_terms_their_fold_reaches():
+    # The traversal passes at this depth; running the state or reader
+    # computation it built recurses deeper.
+    e = Cst(1)
+    for _ in range(300):
+        e = Neg(e)
+    with pytest.raises(DepthLimitExceeded):
+        abstract_constants(e)
+    with pytest.raises(DepthLimitExceeded):
+        free_vars(e)
