@@ -39,27 +39,20 @@ class Scrap:
     rebuild: Callable[[Sequence[Any]], Any]
 
 
-@dataclass(frozen=True)
-class _ScrapPlan:
-    """t's descriptor past its synonyms, None for a leaf type, and the
-    positions of the arguments typed t, by constructor identity."""
-
-    dd: Optional[Desc]
-    positions: dict[int, tuple[int, ...]]
-
-
 @staged
-def _scrap_plan(t: TypeRep) -> _ScrapPlan:
+def _scrap_plan(t: TypeRep) -> tuple[Optional[Desc], dict[int, tuple[int, ...]]]:
+    """t's descriptor past its synonyms, None for a leaf type, and the
+    positions of the arguments typed t, by constructor id."""
     dd = follow_synonyms(t)[1]
     cons = constructors(dd)
     if cons is None:
-        return _ScrapPlan(None, {})
-    return _ScrapPlan(dd, {
+        return None, {}
+    return dd, {
         id(c): tuple(
             i for i, f in enumerate(c.fields) if ty_equal(f.ty, t) is not None
         )
         for c in cons
-    })
+    }
 
 
 def scrap(t: TypeRep, x: Any) -> Scrap:
@@ -71,18 +64,18 @@ def scrap(t: TypeRep, x: Any) -> Scrap:
     Which arguments are children is planned once per type; the plan
     shares the descriptor cache's bound and invalidation.
     """
-    plan = _scrap_plan(t)
-    if plan.dd is None:
+    dd, positions_of = _scrap_plan(t)
+    if dd is None:
         def rebuild_leaf(new: Sequence[Any]) -> Any:
             if len(new) != 0:
                 raise ArityMismatch("leaf rebuild expects no children")
             return x
 
         return Scrap([], rebuild_leaf)
-    ca = conap(plan.dd, x)
+    ca = conap(dd, x)
     con = ca.con
     flat = ca.args
-    positions = plan.positions[id(con)]
+    positions = positions_of[id(con)]
 
     def rebuild(new: Sequence[Any]) -> Any:
         if len(new) != len(positions):

@@ -300,14 +300,10 @@ class App:
 Spine = Any  # ConNode | App
 
 
-@dataclass(frozen=True)
-class _SpinePlan:
-    dd: Desc
-    metas: dict[int, ConMeta]  # by id of each of dd's constructors
-
-
 @staged
-def _spine_plan(t: TypeRep) -> _SpinePlan:
+def _spine_plan(t: TypeRep) -> tuple[Desc, dict[int, ConMeta]]:
+    """t's descriptor past its synonyms, and the meta of each of its
+    constructors by the constructor's id."""
     t, dd = follow_synonyms(t)
     if isinstance(dd, VariantDesc):
         variant, module_path = dd.name, dd.module_path
@@ -324,10 +320,10 @@ def _spine_plan(t: TypeRep) -> _SpinePlan:
         tagged = [(dd.con, "product", 0)]
     else:
         raise NoView(f"no spine view for {brief(t)}")
-    return _SpinePlan(dd, {
+    return dd, {
         id(c): ConMeta(c.name, variant, module_path, c.arity, kind, tag)
         for c, kind, tag in tagged
-    })
+    }
 
 
 def spine(t: TypeRep, x: Any) -> Spine:
@@ -338,10 +334,10 @@ def spine(t: TypeRep, x: Any) -> Spine:
     back on in declaration order. Each constructor's meta is made once
     per type and found by the constructor's identity.
     """
-    plan = _spine_plan(t)
-    ca = conap(plan.dd, x)
+    dd, metas = _spine_plan(t)
+    ca = conap(dd, x)
     con = ca.con
-    s: Spine = ConNode(con.embed, plan.metas[id(con)])
+    s: Spine = ConNode(con.embed, metas[id(con)])
     for f, v in zip(con.fields, ca.args):
         s = App(s, f.ty, v)
     return s
