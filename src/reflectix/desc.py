@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import reprlib
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields as dc_fields, is_dataclass
 from typing import Any, Callable, Optional, Sequence
 
 from .errors import (
@@ -248,17 +248,15 @@ class Representation:
 
 # ---------------------------------------------------------------------------
 # Registration and lookup: two tables from a head to its builder, and
-# per-type caches of what is built from them. view_desc and try_repr
-# keep their own; staged adds one per memoized function.
+# per-type caches of what is built from them, one per staged function,
+# view_desc and try_repr included.
 
 DescBuilder = Callable[..., Desc]
 _descs: dict[Head, DescBuilder] = {}
 _reprs: dict[Head, Callable[..., Representation]] = {}
 _register_lock = threading.Lock()
 _CACHE_BOUND = 256
-_desc_cache: dict[TypeRep, Desc] = {}
-_repr_cache: dict[TypeRep, Optional[Representation]] = {}
-_caches: list[dict] = [_desc_cache, _repr_cache]
+_caches: list[dict] = []
 _generation = 0
 
 
@@ -282,24 +280,14 @@ def _invalidate() -> None:
         cache.clear()
 
 
-def _remember(cache: dict, t: TypeRep, generation: int, result: Any) -> None:
-    """Store a result built for t, unless a registration came in since
-    the generation was read; empty the cache at its bound."""
-    with _register_lock:
-        if generation == _generation:
-            if len(cache) >= _CACHE_BOUND:
-                cache.clear()
-            cache[t] = result
-
-
 def staged(build: Callable[[TypeRep], Any]) -> Callable[[TypeRep], Any]:
     """build memoized per interned type, for structure and plans that
     depend on nothing but the type and the registrations.
 
-    The memo has view_desc's bound and invalidation: it holds at most
-    256 types, and register and register_repr empty it together with
-    the descriptor cache. A result built while a registration came in
-    is returned but not kept. build must not return None.
+    The memo holds at most 256 types: it is emptied when it reaches
+    that bound, and register and register_repr empty every memo at
+    once. A result built while a registration came in is returned but
+    not kept, and so is None.
     """
     cache: dict[TypeRep, Any] = {}
     with _register_lock:
@@ -311,7 +299,11 @@ def staged(build: Callable[[TypeRep], Any]) -> Callable[[TypeRep], Any]:
             return r
         generation = _generation
         r = build(t)
-        _remember(cache, t, generation, r)
+        with _register_lock:
+            if generation == _generation and r is not None:
+                if len(cache) >= _CACHE_BOUND:
+                    cache.clear()
+                cache[t] = r
         return r
 
     return functools.wraps(build)(lookup)
@@ -333,28 +325,21 @@ def register(witness: Any, builder: DescBuilder) -> None:
         _invalidate()
 
 
+@staged
 def view_desc(t: TypePattern) -> Desc:
     """Its head's builder applied to t's arguments, which may be
     wildcards; NO_DESC for the wildcard or an unregistered head.
 
-    The result is cached under the interned type, so the builder runs
-    once per type while it stays cached and two lookups of one type
-    return the same descriptor. The cache holds at most 256 types. It
-    is emptied when it reaches that bound, and whenever register or
-    register_repr adds a head, so a head registered after a lookup
-    returned NO_DESC is seen by the next one. The memos made by staged
-    are bounded and emptied the same way.
+    Staged, so the builder runs once per type while the type stays
+    cached and two lookups of one type return the same descriptor. As
+    register empties the cache, a head registered after a lookup
+    returned NO_DESC is seen by the next one.
     """
-    dd = _desc_cache.get(t)
-    if dd is not None:
-        return dd
-    if t is ANY:
-        return NO_DESC
-    generation = _generation
-    builder = _descs.get(t.head)
-    dd = NO_DESC if builder is None else builder(*t.args)
-    _remember(_desc_cache, t, generation, dd)
-    return dd
+    builder = None if t is ANY else _descs.get(t.head)
+    return NO_DESC if builder is None else builder(*t.args)
+
+
+_desc_cache = _caches[-1]  # view_desc's memo
 
 
 def follow_synonyms(t: TypePattern) -> tuple[TypePattern, Desc]:
@@ -388,34 +373,41 @@ def repr_of(t: TypeRep) -> Representation:
     return r
 
 
+@staged
 def try_repr(t: TypeRep) -> Optional[Representation]:
-    """The public representation of t, or None; cached as view_desc's
-    result is, and emptied with it."""
-    r = _repr_cache.get(t, _repr_cache)
-    if r is not _repr_cache:
-        return r
-    if t is ANY:
-        return None
-    generation = _generation
-    builder = _reprs.get(t.head)
-    r = None if builder is None else builder(*t.args)
-    _remember(_repr_cache, t, generation, r)
-    return r
+    """The public representation of t, or None; staged as view_desc is."""
+    builder = None if t is ANY else _reprs.get(t.head)
+    return None if builder is None else builder(*t.args)
 
 
 # ---------------------------------------------------------------------------
 # Taking values apart
 
 BRIEF_CHARS = 160
-_value_repr = reprlib.Repr()
+
+
+class _BriefRepr(reprlib.Repr):
+    def repr_instance(self, x: Any, level: int) -> str:
+        # Only a __repr__ that dataclass generated carries __wrapped__.
+        if not hasattr(type(x).__repr__, "__wrapped__") or not is_dataclass(x):
+            return super().repr_instance(x, level)
+        if level <= 0:
+            return f"{type(x).__name__}(...)"
+        shown = (f.name for f in dc_fields(x) if f.repr)
+        args = (f"{n}={self.repr1(getattr(x, n), level - 1)}" for n in shown)
+        return f"{type(x).__name__}({', '.join(args)})"
+
+
+_value_repr = _BriefRepr()
 _value_repr.maxlevel = 3
 
 
 def brief_value(v: Any) -> str:
     """repr(v) with long containers, text and numbers elided and the
     whole cut at BRIEF_CHARS characters, so that the message refusing
-    a value does not grow with it; brief is the same for types. An int
-    too long for Python to print gives its class instead.
+    a value does not grow with it; brief is the same for types. The
+    level limit holds inside dataclass instances too. An int too long
+    for Python to print gives its class instead.
 
     >>> brief_value((2,))
     '(2,)'

@@ -7,15 +7,15 @@ first class: shared subvalues map to shared nodes, and a node may
 reference itself.
 
 Each direction is one walk. serialize builds the graph from the value
-by its descriptors and encodes it. deserialize, which never trusts its
-input, decodes the bytes into a graph and materializes the value from
-it, checking each node at every type it is used at as its value is
-built.
+and encodes it. deserialize, which never trusts its input, decodes the
+bytes into a graph and materializes the value from it, checking each
+node at every type it is used at as its value is built.
 
-One set of rules says what a node must look like at a type: its kind,
-tag and arity, the character range, UTF-8 text, and extensible
-constructor names. _match_node states them once. The materializer and
-the checker both apply them.
+The builder, the checker and the materializer look up one plan per
+node: a type's plan, built once (desc.staged), states its descriptor
+kind's wire rule in both directions, the node a value is written as
+and what a node must look like to be read back (kind, tag and arity,
+the character range, UTF-8 text, extensible constructor names).
 
 The materializer applies the rules at the concrete type of every use
 of a node and builds the value, so it is safe on a graph nobody
@@ -40,6 +40,7 @@ import struct
 from collections import Counter
 from dataclasses import dataclass, field as dc_field, replace
 from enum import Enum
+from itertools import repeat
 from typing import Any, Callable, Iterator, Optional
 
 from . import desc as d
@@ -276,11 +277,158 @@ def decode_graph(data: bytes) -> ValueGraph:
 
 
 # ---------------------------------------------------------------------------
+# Per-type plans: the wire rule of each descriptor kind, both directions
+
+
+def _arity(con: d.Constructor, node: ValueNode, what: str) -> None:
+    if len(node.fields) != con.arity:
+        raise Incompatible(
+            f"{con.name} with {con.arity} fields", f"{what} {len(node.fields)}"
+        )
+
+
+def _leaf_rule(u: TypePattern, dd: d.ScalarDesc) -> tuple:
+    """A leaf is one node with no fields: Imm for an int or a character
+    code, Bytes for UTF-8 text, Float for any other kind."""
+    kind = dd.kind
+    cls = {"int": Imm, "char": Imm, "text": Bytes}.get(kind, Float)
+
+    def write(b: _Builder, v: Any) -> ValueNode:
+        d.check_leaf(kind, v)
+        if kind == "int" and not _I64_MIN <= v <= _I64_MAX:
+            raise Incompatible("64-bit integer", f"integer {d.brief_value(v)}")
+        if kind != "text":
+            return cls(ord(v) if kind == "char" else v)
+        try:
+            return Bytes(v.encode("utf-8"))
+        except UnicodeEncodeError:
+            why = f"text is not encodable as UTF-8: {d.brief_value(v)}"
+            raise MalformedValue(why) from None
+
+    def read(node: ValueNode) -> tuple:
+        if not isinstance(node, cls):
+            raise Incompatible(brief(u), node_kind(node))
+        if kind == "text":
+            try:
+                v = node.data.decode("utf-8")
+            except UnicodeDecodeError:
+                raise Incompatible("UTF-8 text", "undecodable bytes") from None
+        elif kind == "char":
+            if not 0 <= node.value <= 0x10FFFF:
+                raise Incompatible("character code", f"Imm {node.value}")
+            v = chr(node.value)
+        else:
+            v = node.value
+        return (), lambda _: v
+
+    return write, read
+
+
+def _con_rule(u: TypePattern, dd: d.Desc) -> tuple:
+    """A variant's constant constructor is Imm of its tag, and any other
+    a Block of its tag and fields; constants and the rest are tagged
+    apart, in declaration order. A record or bare product is Block 0 of
+    its one constructor's fields."""
+    variant = isinstance(dd, d.VariantDesc)
+    cst, ncst = (dd.cst, dd.ncst) if variant else ((), (dd.con,))
+    blocks = [(c, tuple([f.ty for f in c.fields])) for c in ncst]
+    tags = {id(c): (tag, None) for tag, c in enumerate(cst)}
+    for tag, (c, tys) in enumerate(blocks):
+        tags[id(c)] = (tag, tys)
+
+    def write(b: _Builder, v: Any) -> ValueNode:
+        ca = d.conap(dd, v)
+        tag, tys = tags[id(ca.con)]
+        if tys is None:
+            return Imm(tag)
+        return Block(tag, tuple(b._fields(tys, ca.args)))
+
+    def read(node: ValueNode) -> tuple:
+        if variant and isinstance(node, Imm):
+            if not 0 <= node.value < len(cst):
+                raise Incompatible(
+                    f"{brief(u)} constant tag below {len(cst)}", f"Imm {node.value}"
+                )
+            return (), cst[node.value].embed
+        if not isinstance(node, Block) or (not variant and node.tag != 0):
+            raise Incompatible(brief(u), node_kind(node))
+        if not 0 <= node.tag < len(blocks):
+            raise Incompatible(
+                f"{brief(u)} block tag below {len(blocks)}", f"Block tag {node.tag}"
+            )
+        con, tys = blocks[node.tag]
+        _arity(con, node, "Block arity")
+        return zip(node.fields, tys), con.embed
+
+    return write, read
+
+
+def _array_rule(u: TypePattern, dd: d.ArrayLikeDesc) -> tuple:
+    """An array is Block 0 of its elements."""
+    elem = repeat(dd.elem)  # never runs out, so every node can share it
+
+    def write(b: _Builder, v: Any) -> ValueNode:
+        return Block(0, tuple(b._fields(elem, d.check_leaf("array", v))))
+
+    def read(node: ValueNode) -> tuple:
+        if not isinstance(node, Block) or node.tag != 0:
+            raise Incompatible(brief(u), node_kind(node))
+        return zip(node.fields, elem), list
+
+    return write, read
+
+
+def _extensible_rule(u: TypePattern, dd: d.ExtensibleDesc) -> tuple:
+    """An extensible value is ExtCon of its constructor's name and
+    fields, the constructor found by name at each node, since add_con
+    may add one at any time and empties no cache."""
+
+    def write(b: _Builder, v: Any) -> ValueNode:
+        ca = d.conap(dd, v)
+        tys = [f.ty for f in ca.con.fields]
+        return ExtCon(ca.con.name, tuple(b._fields(tys, ca.args)))
+
+    def read(node: ValueNode) -> tuple:
+        if not isinstance(node, ExtCon):
+            raise Incompatible(brief(u), node_kind(node))
+        con = d.ext_find(dd, node.name)
+        _arity(con, node, "constructor arity")
+        return [(m, f.ty) for m, f in zip(node.fields, con.fields)], con.embed
+
+    return write, read
+
+
+_RULES = {d.ScalarDesc: _leaf_rule, d.ArrayLikeDesc: _array_rule,
+          d.ExtensibleDesc: _extensible_rule, d.VariantDesc: _con_rule,
+          d.RecordDesc: _con_rule, d.ProductDesc: _con_rule}
+
+
+@d.staged
+def _plan(t: TypePattern) -> tuple:
+    """(u, rep, write, read): u is t past its synonyms. An abstract type
+    has its public representation as rep, and its values travel as
+    rep.repr_ty's. Any other has its kind's rule: write(builder, v) is
+    the node v is written as, read(node) checks the node against u and
+    returns its fields, as (node, pattern) pairs, and make, which builds
+    the value from the fields' values."""
+    u, dd = d.follow_synonyms(t)
+    if isinstance(dd, d.AbstractDesc):
+        rep = d.try_repr(u)
+        if rep is None:
+            raise NoDescriptor(f"{brief(u)} has no public representation")
+        return u, rep, None, None
+    rule = _RULES.get(type(dd))
+    if rule is None:
+        raise NoDescriptor(f"no descriptor for {brief(u)}")
+    return (u, None, *rule(u, dd))
+
+
+# ---------------------------------------------------------------------------
 # Building graphs from values
 
 
 class _Builder:
-    """Walks a value by its descriptors, emitting graph nodes.
+    """Walks a value by its plans, emitting graph nodes.
 
     Sharing is preserved by memoizing on object identity and type, and
     the slot for a value is reserved before its fields are walked, so
@@ -294,61 +442,22 @@ class _Builder:
         self._pins: list = []  # keep ids alive while building
 
     def build(self, t: TypeRep, v: Any) -> int:
-        t, dd, rep = _resolve(t)
+        t, rep, write, _ = _plan(t)
         key = (id(v), t)
         hit = self._memo.get(key)
         if hit is not None:
             return hit
         self._pins.append(v)
         if rep is not None:
-            idx = self.build(rep.repr_ty, rep.to_repr(v))
-            self._memo[key] = idx
+            idx = self._memo[key] = self.build(rep.repr_ty, rep.to_repr(v))
             return idx
-        idx = len(self.nodes)
+        idx = self._memo[key] = len(self.nodes)
         self.nodes.append(None)
-        self._memo[key] = idx
-        self.nodes[idx] = self._node_for(dd, t, v)
+        self.nodes[idx] = write(self, v)
         return idx
 
-    def _node_for(self, dd: d.Desc, t: TypeRep, v: Any) -> ValueNode:
-        if isinstance(dd, d.ScalarDesc):
-            d.check_leaf(dd.kind, v)
-            if dd.kind == "int":
-                if not _I64_MIN <= v <= _I64_MAX:
-                    raise Incompatible("64-bit integer", f"integer {d.brief_value(v)}")
-                return Imm(v)
-            if dd.kind == "char":
-                return Imm(ord(v))
-            if dd.kind == "text":
-                try:
-                    return Bytes(v.encode("utf-8"))
-                except UnicodeEncodeError:
-                    raise MalformedValue(
-                        f"text is not encodable as UTF-8: {d.brief_value(v)}"
-                    ) from None
-            return Float(v)
-        if isinstance(dd, d.ArrayLikeDesc):
-            flat = d.check_leaf("array", v)
-            reps = (dd.elem,) * len(flat)
-        elif isinstance(
-            dd, (d.VariantDesc, d.ExtensibleDesc, d.RecordDesc, d.ProductDesc)
-        ):
-            ca = d.conap(dd, v)
-            con = ca.con
-            if isinstance(dd, d.VariantDesc) and con.arity == 0:
-                return Imm(dd.cst.index(con))
-            reps, flat = [f.ty for f in con.fields], ca.args
-        else:
-            raise NoDescriptor(f"no descriptor for {brief(t)}")
-        refs = tuple(self._fields(reps, flat))
-        if isinstance(dd, d.ExtensibleDesc):
-            return ExtCon(con.name, refs)
-        if isinstance(dd, d.VariantDesc):
-            return Block(dd.ncst.index(con), refs)
-        return Block(0, refs)
-
     def _fields(self, reps: Any, flat: Any) -> Iterator[int]:
-        # A generator keeps serialize at three frames per level: going
+        # Three frames per level (build, write, this generator): going
         # deeper would pin an O(n) list suffix per cell through _pins.
         for i, (r, fv) in enumerate(zip(reps, flat)):
             try:
@@ -358,16 +467,22 @@ class _Builder:
                 raise
 
 
-def build_graph(t: TypeRep, v: Any) -> ValueGraph:
-    """The value graph of v at type t, sharing preserved."""
-    b = _Builder()
+def _walk(too_deep: str, go: Callable, *args: Any) -> Any:
+    """go(*args), as the entry point of a walk: a RecursionError becomes
+    DepthLimitExceeded, and an error raised inside is located."""
     try:
-        root = b.build(t, v)
+        return go(*args)
     except RecursionError:
-        raise DepthLimitExceeded("value nests too deeply to serialize") from None
+        raise DepthLimitExceeded(too_deep) from None
     except ReflectixError as e:
         e.locate()
         raise
+
+
+def build_graph(t: TypeRep, v: Any) -> ValueGraph:
+    """The value graph of v at type t, sharing preserved."""
+    b = _Builder()
+    root = _walk("value nests too deeply to serialize", b.build, t, v)
     return ValueGraph(b.nodes, root)
 
 
@@ -393,34 +508,20 @@ class ConvertState:
     first_size: dict = dc_field(default_factory=dict)
 
 
-def _resolve(p: TypeRep) -> tuple[TypeRep, d.Desc, Optional[d.Representation]]:
-    """Follow synonyms from p; return the type reached, its descriptor,
-    and its public representation if it is abstract."""
-    p, dd = d.follow_synonyms(p)
-    if dd is d.NO_DESC:
-        raise NoDescriptor(f"no descriptor for {brief(p)}")
-    if not isinstance(dd, d.AbstractDesc):
-        return p, dd, None
-    rep = d.try_repr(p)
-    if rep is None:
-        raise NoDescriptor(f"{brief(p)} has no public representation")
-    return p, dd, rep
-
-
 def _ensure(st: ConvertState, n: int, p: TypePattern) -> None:
     key = (n, p)
     if p is ANY or key in st.memo:
         return
     st.memo.add(key)
-    p2, dd, rep = _resolve(p)
+    u, rep, _, read = _plan(p)
     if rep is not None:
         _ensure(st, n, rep.repr_ty)
         return
     q = st.visited.get(n)
     if q is None:
-        st.first_size[n] = pattern_size(p2)
+        st.first_size[n] = pattern_size(u)
     else:
-        g = anti_unify(q, p2)
+        g = anti_unify(q, u)
         if g == q:
             return
         st.updates[n] += 1
@@ -429,13 +530,13 @@ def _ensure(st: ConvertState, n: int, p: TypePattern) -> None:
             # nothing; any well-formed node passes.
             st.visited[n] = g
             return
-        if g != p2:
-            p2, dd = g, d.view_desc(g)
-    st.visited[n] = p2
-    if p2 is not p:
-        st.memo.add((n, p2))
+        if g != u:
+            u, read = g, _plan(g)[3]
+    st.visited[n] = u
+    if u is not p:
+        st.memo.add((n, u))
     st.descents[n] += 1
-    fields, _ = _match_node(st.graph, n, p2, dd)
+    fields, _ = read(st.graph.nodes[n])
     for i, (m, fp) in enumerate(fields):
         try:
             _ensure(st, m, fp)
@@ -444,83 +545,10 @@ def _ensure(st: ConvertState, n: int, p: TypePattern) -> None:
             raise
 
 
-def _arity(con: d.Constructor, node: ValueNode, what: str) -> None:
-    if len(node.fields) != con.arity:
-        raise Incompatible(
-            f"{con.name} with {con.arity} fields", f"{what} {len(node.fields)}"
-        )
-
-
-# The node a leaf of each ScalarDesc kind is written as.
-_LEAF_NODE = {"int": Imm, "char": Imm, "text": Bytes, "float": Float}
-
-
-def _match_node(
-    graph: ValueGraph, n: int, p: TypePattern, dd: d.Desc
-) -> tuple[list, Callable[[list], Any]]:
-    """The structural rules: what node n must look like at pattern p.
-
-    dd is p's descriptor, already resolved past synonyms and abstract
-    types. Raises Incompatible, NoDescriptor or UnknownConstructor when
-    the node itself does not fit. Otherwise returns the node's fields,
-    as (node, pattern) pairs each field must match in turn, and make,
-    which builds the node's value from the values of those fields.
-    The checker walks the fields; the materializer also calls make.
-    """
-    node = graph.nodes[n]
-    if isinstance(dd, d.ScalarDesc):
-        if not isinstance(node, _LEAF_NODE.get(dd.kind, Float)):
-            raise Incompatible(brief(p), node_kind(node))
-        if dd.kind == "char":
-            if not 0 <= node.value <= 0x10FFFF:
-                raise Incompatible("character code", f"Imm {node.value}")
-            return [], lambda _: chr(node.value)
-        if dd.kind == "text":
-            try:
-                text = node.data.decode("utf-8")
-            except UnicodeDecodeError:
-                raise Incompatible("UTF-8 text", "undecodable bytes") from None
-            return [], lambda _: text
-        return [], lambda _: node.value
-    if isinstance(dd, d.VariantDesc):
-        if isinstance(node, Imm):
-            if not 0 <= node.value < dd.cst_len:
-                raise Incompatible(
-                    f"{brief(p)} constant tag below {dd.cst_len}",
-                    f"Imm {node.value}",
-                )
-            return [], dd.cst_get(node.value).embed
-        if not isinstance(node, Block):
-            raise Incompatible(brief(p), node_kind(node))
-        if node.tag >= dd.ncst_len:
-            raise Incompatible(
-                f"{brief(p)} block tag below {dd.ncst_len}",
-                f"Block tag {node.tag}",
-            )
-        con = dd.ncst_get(node.tag)
-        _arity(con, node, "Block arity")
-    elif isinstance(dd, (d.ArrayLikeDesc, d.RecordDesc, d.ProductDesc)):
-        if not isinstance(node, Block) or node.tag != 0:
-            raise Incompatible(brief(p), node_kind(node))
-        if isinstance(dd, d.ArrayLikeDesc):
-            return [(m, dd.elem) for m in node.fields], list
-        con = dd.con
-        _arity(con, node, "Block arity")
-    elif isinstance(dd, d.ExtensibleDesc):
-        if not isinstance(node, ExtCon):
-            raise Incompatible(brief(p), node_kind(node))
-        con = d.ext_find(dd, node.name)
-        _arity(con, node, "constructor arity")
-    else:
-        raise NoDescriptor(f"no descriptor for {brief(p)}")
-    fields = [(m, f.ty) for m, f in zip(node.fields, con.fields)]
-    return fields, con.embed
-
-
 def check_compat(t: TypeRep, g: ValueGraph, root: Optional[int] = None) -> ConvertState:
     """Check that the subgraph at root fits type t, building no value.
 
-    Applies _match_node's rules once per node and pattern. Raises
+    Reads each node once per pattern by the pattern's plan. Raises
     Incompatible, NoDescriptor, or UnknownConstructor on failure;
     returns the walk state, whose counters record descents and pattern
     updates per node. Neither serialize nor deserialize runs it; it
@@ -537,13 +565,8 @@ def check_compat(t: TypeRep, g: ValueGraph, root: Optional[int] = None) -> Conve
     applies the same rules at every use and builds each value.
     """
     st = ConvertState(graph=g)
-    try:
-        _ensure(st, g.root if root is None else root, t)
-    except RecursionError:
-        raise DepthLimitExceeded("graph nests too deeply to check") from None
-    except ReflectixError as e:
-        e.locate()
-        raise
+    start = g.root if root is None else root
+    _walk("graph nests too deeply to check", _ensure, st, start, t)
     return st
 
 
@@ -596,7 +619,7 @@ class _Materializer:
             return self.memo[key]
         if n in self.building:
             raise CyclicValue("cyclic graph has no value form")
-        p2, dd, rep = _resolve(p)
+        _, rep, _, read = _plan(p)
         if rep is not None:
             # The representation is on the same node, not yet marked as
             # building; rebuild it and let the abstract type judge it.
@@ -604,7 +627,7 @@ class _Materializer:
             if v is None:
                 raise RepresentationRejected("representation rejected")
         else:
-            fields, make = _match_node(self.graph, n, p2, dd)
+            fields, make = read(self.graph.nodes[n])
             self.building.add(n)
             # Not a comprehension, which would cost a second frame per level.
             values = []
@@ -623,8 +646,8 @@ class _Materializer:
 def materialize(t: TypeRep, g: ValueGraph, root: Optional[int] = None) -> Any:
     """Rebuild the library value the subgraph at root denotes.
 
-    Applies _match_node's rules to every node at each type it is used
-    at, so the graph need not have passed check_compat first, and
+    Reads every node by the plan of each type it is used at, so the
+    graph need not have passed check_compat first, and
     validates each abstract value's representation with from_repr,
     raising RepresentationRejected. A node comes back as one object
     per type it is used at: its uses at one type share that object,
@@ -632,14 +655,8 @@ def materialize(t: TypeRep, g: ValueGraph, root: Optional[int] = None) -> Any:
     PolyTree makes, get one object each. Cyclic graphs raise
     CyclicValue: the value layer is immutable and cannot tie knots.
     """
-    m = _Materializer(g)
-    try:
-        return m.go(t, g.root if root is None else root)
-    except RecursionError:
-        raise DepthLimitExceeded("graph nests too deeply to materialize") from None
-    except ReflectixError as e:
-        e.locate()
-        raise
+    start = g.root if root is None else root
+    return _walk("graph nests too deeply to materialize", _Materializer(g).go, t, start)
 
 
 # ---------------------------------------------------------------------------
@@ -649,9 +666,9 @@ def materialize(t: TypeRep, g: ValueGraph, root: Optional[int] = None) -> Any:
 def serialize(t: TypeRep, v: Any) -> bytes:
     """Encode v at type t.
 
-    build_graph takes each node's kind, tag and arity from the same
-    descriptors that deserialize reads them back by, and checks scalars
-    and text itself, so the graph is encoded as built.
+    build_graph writes each node by the same per-type plan that
+    deserialize reads it back by, and checks scalars and text itself,
+    so the graph is encoded as built.
     """
     return encode_graph(build_graph(t, v))
 

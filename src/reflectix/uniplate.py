@@ -23,10 +23,10 @@ from .effects import (
     fmap,
     traverse_list,
 )
-from .desc import Desc, conap, follow_synonyms, staged
+from .desc import Desc, conap, staged
 from .errors import ArityMismatch, DepthLimitExceeded, FuelExhausted
 from .typerep import TypeRep, ty_equal
-from .views import constructors
+from .views import closed
 
 DEFAULT_FUEL = 10**6
 
@@ -43,10 +43,7 @@ class Scrap:
 def _scrap_plan(t: TypeRep) -> tuple[Optional[Desc], dict[int, tuple[int, ...]]]:
     """t's descriptor past its synonyms, None for a leaf type, and the
     positions of the arguments typed t, by constructor id."""
-    dd = follow_synonyms(t)[1]
-    cons = constructors(dd)
-    if cons is None:
-        return None, {}
+    _, dd, cons = closed(t)
     return dd, {
         id(c): tuple(
             i for i, f in enumerate(c.fields) if ty_equal(f.ty, t) is not None

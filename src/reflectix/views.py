@@ -244,20 +244,18 @@ def sumprod(t: TypeRep) -> SumProd:
     raise NoView(f"no sum-of-products view for {brief(t)}")
 
 
-# The descriptors whose values split into a constructor and arguments.
-# Extensible values have constructors too, but the views and traversals
-# keep them as leaves.
-_CLOSED = (VariantDesc, RecordDesc, ProductDesc)
-
-
-def constructors(dd: Desc) -> Optional[tuple[Constructor, ...]]:
-    """The constructors a closed descriptor splits values into, in
-    declaration order; None for every other descriptor."""
+@staged
+def closed(t: TypeRep) -> tuple[TypeRep, Optional[Desc], tuple[Constructor, ...]]:
+    """t past its synonyms, its descriptor if closed (a variant, record
+    or bare product) or else None, and the constructors it splits values
+    into, in declaration order. Extensible values are leaves here. Built
+    once per type, for split, conlist, spine and uniplate.scrap."""
+    t, dd = follow_synonyms(t)
     if isinstance(dd, VariantDesc):
-        return dd.cons
+        return t, dd, dd.cons
     if isinstance(dd, (RecordDesc, ProductDesc)):
-        return (dd.con,)
-    return None
+        return t, dd, (dd.con,)
+    return t, None, ()
 
 
 # ---------------------------------------------------------------------------
@@ -304,22 +302,19 @@ Spine = Any  # ConNode | App
 def _spine_plan(t: TypeRep) -> tuple[Desc, dict[int, ConMeta]]:
     """t's descriptor past its synonyms, and the meta of each of its
     constructors by the constructor's id."""
-    t, dd = follow_synonyms(t)
+    t, dd, _ = closed(t)
+    if dd is None:
+        raise NoView(f"no spine view for {brief(t)}")
     if isinstance(dd, VariantDesc):
         variant, module_path = dd.name, dd.module_path
-        tagged = [
-            (c, kind, tag)
-            for kind, table in (("cst", dd.cst), ("ncst", dd.ncst))
-            for tag, c in enumerate(table)
-        ]
+        tables = (("cst", dd.cst), ("ncst", dd.ncst))
     elif isinstance(dd, RecordDesc):
         variant, module_path = dd.name, dd.module_path
-        tagged = [(dd.con, "record", 0)]
-    elif isinstance(dd, ProductDesc):
-        variant, module_path = t.head.name, t.head.module_path
-        tagged = [(dd.con, "product", 0)]
+        tables = (("record", (dd.con,)),)
     else:
-        raise NoView(f"no spine view for {brief(t)}")
+        variant, module_path = t.head.name, t.head.module_path
+        tables = (("product", (dd.con,)),)
+    tagged = [(c, kind, tag) for kind, table in tables for tag, c in enumerate(table)]
     return dd, {
         id(c): ConMeta(c.name, variant, module_path, c.arity, kind, tag)
         for c, kind, tag in tagged
@@ -360,13 +355,10 @@ def rebuild(s: Spine) -> Any:
 
 
 def conlist(t: TypeRep) -> list[Constructor]:
-    """All constructors of t, past its synonyms.
-
-    Variants list theirs in declaration order; records and bare
-    products have their one constructor; every other category,
-    extensible types included, has none.
-    """
-    return list(constructors(follow_synonyms(t)[1]) or ())
+    """All constructors of t, past its synonyms, in declaration order:
+    a record or bare product has one, and a type that is not a variant,
+    record or bare product (an extensible type included) has none."""
+    return list(closed(t)[2])
 
 
 def split(t: TypeRep, x: Any) -> Optional[ConApp]:
@@ -377,5 +369,5 @@ def split(t: TypeRep, x: Any) -> Optional[ConApp]:
     (scalars, arrays, extensible and abstract types) are leaves and
     give None. A value outside t raises MalformedValue.
     """
-    dd = follow_synonyms(t)[1]
-    return conap(dd, x) if isinstance(dd, _CLOSED) else None
+    dd = closed(t)[1]
+    return None if dd is None else conap(dd, x)

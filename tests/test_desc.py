@@ -89,6 +89,37 @@ def conap_oracle(cons, x):
     return None
 
 
+@dataclass(frozen=True)
+class _Fork:
+    left: Any
+    right: Any
+
+
+class _CountedLeaf:
+    def __init__(self) -> None:
+        self.calls = 0
+
+    def __repr__(self) -> str:
+        self.calls += 1
+        return "leaf"
+
+
+def test_brief_value_renders_dataclasses_only_to_its_level_limit():
+    # Twelve levels of forks over one leaf: rendering it in full would
+    # call the leaf's __repr__ 4096 times for a message cut at a few
+    # dozen characters.
+    leaf = _CountedLeaf()
+    t = leaf
+    for _ in range(12):
+        t = _Fork(t, t)
+    text = d.brief_value(t)
+    assert leaf.calls <= d._value_repr.maxlevel
+    assert text.startswith("_Fork(left=_Fork(left=_Fork(left=_Fork(...)")
+    assert len(text) <= d.BRIEF_CHARS
+    # A dataclass that defines its own __repr__ keeps it.
+    assert d.brief_value(pl.FAILURE) == "<constructor Failure/1>"
+
+
 def test_conap_agrees_with_projection_scan():
     """conap picks the constructor a scan of every projection would,
     for every generated type, records and products included, and for

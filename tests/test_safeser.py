@@ -884,3 +884,71 @@ def test_check_and_deserialize_reach_nine_hundred_cells():
     graph = _chain_graph(900)
     ss.check_compat(List(Int), graph)
     assert ss.deserialize(List(Int), ss.encode_graph(graph)) == list(range(900))
+
+
+# ---------------------------------------------------------------------------
+# Per-type plans: built once, emptied by registration
+
+
+def test_plans_follow_registration_and_added_constructors(monkeypatch):
+    Box = declare("PlanLateBox", 1, ("tests",))
+    t = Box(Int)
+    graph = ss.ValueGraph([ss.Block(0, (1,)), ss.Imm(7)], 0)
+    blob = ss.encode_graph(graph)
+    for run in (
+        lambda: ss.serialize(t, (7,)),
+        lambda: ss.deserialize(t, blob),
+        lambda: ss.check_compat(t, graph),
+    ):
+        with pytest.raises(NoDescriptor, match=r"no descriptor for PlanLateBox\(Int\)"):
+            run()
+
+    def proj(v):
+        return v if isinstance(v, tuple) and len(v) == 1 else None
+
+    d.register(
+        Box,
+        lambda a: d.ProductDesc(
+            d.Constructor("PlanLateBox", (d.Field("", a),), tuple, proj)
+        ),
+    )
+    assert ss.serialize(t, (7,)) == blob
+    assert ss.deserialize(t, blob) == (7,)
+    ss.check_compat(t, graph)
+    # Exn's plan is built before the constructor is added; the set it
+    # reads from stays open.
+    x = pl.failure("before")
+    assert ss.deserialize(pl.Exn, ss.serialize(pl.Exn, x)) == x
+    monkeypatch.setattr(pl.exn_desc, "_cons", dict(pl.exn_desc._cons))
+    late = d.ext_constructor("PlanLateExn", (Int,))
+    d.add_con(pl.exn_desc, late)
+    y = late.embed((5,))
+    assert ss.deserialize(pl.Exn, ss.serialize(pl.Exn, y)) == y
+    ss.check_compat(pl.Exn, ss.build_graph(pl.Exn, y))
+
+
+def test_warm_walks_look_nothing_up(monkeypatch):
+    e = Cst(0)
+    for i in range(66):
+        e = Add(e, Var(f"x{i}"))
+    with d._register_lock:
+        d._invalidate()
+    data = ss.serialize(Expr, e)
+    ss.deserialize(Expr, data)
+    ss.check_compat(Expr, ss.decode_graph(data))
+    calls = []
+
+    def counted(fn):
+        def lookup(t):
+            calls.append((fn.__name__, t))
+            return fn(t)
+
+        return lookup
+
+    monkeypatch.setattr(d, "view_desc", counted(d.view_desc))
+    monkeypatch.setattr(d, "try_repr", counted(d.try_repr))
+    graph = ss.build_graph(Expr, e)
+    assert len(graph.nodes) == 200
+    assert ss.deserialize(Expr, ss.serialize(Expr, e)) == e
+    ss.check_compat(Expr, graph)
+    assert calls == []
