@@ -15,7 +15,8 @@ The builder, the checker and the materializer look up one plan per
 node: a type's plan, built once (desc.staged), states its descriptor
 kind's wire rule in both directions, the node a value is written as
 and what a node must look like to be read back (kind, tag and arity,
-the character range, UTF-8 text, extensible constructor names).
+the character range, UTF-8 text). Only an extensible type's
+constructors are found by name at each node, as the set stays open.
 
 The materializer applies the rules at the concrete type of every use
 of a node and builds the value, so it is safe on a graph nobody
@@ -647,9 +648,9 @@ def materialize(t: TypeRep, g: ValueGraph, root: Optional[int] = None) -> Any:
     """Rebuild the library value the subgraph at root denotes.
 
     Reads every node by the plan of each type it is used at, so the
-    graph need not have passed check_compat first, and
-    validates each abstract value's representation with from_repr,
-    raising RepresentationRejected. A node comes back as one object
+    graph need not have passed check_compat first, and validates each
+    abstract value's representation with from_repr, raising
+    RepresentationRejected. A node comes back as one object
     per type it is used at: its uses at one type share that object,
     and its uses at different types, which a nested datatype such as
     PolyTree makes, get one object each. Cyclic graphs raise
