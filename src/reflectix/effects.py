@@ -4,14 +4,16 @@ Effectful values are tagged with a brand naming their interpreter;
 functorial, applicative, and monadic operation records run them. The
 stock interpreters are identity (plain values), const (accumulate a
 monoid, ignore results), reader, state, and a deferred-thunk io.
-Combining values of different brands raises BrandMismatch instead of
-producing nonsense.
+Reader, state and io computations are data, each a primitive step or a
+bind, and one loop runs all three with its pending continuations on a
+list, so running a computation nests no Python frames. Combining values
+of different brands raises BrandMismatch instead of producing nonsense.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from .errors import BrandMismatch
 
@@ -63,12 +65,10 @@ class Effectful:
 def _expect(brand: Brand, v: Any) -> Any:
     # Brands are nearly always the interpreter's own object; only a
     # distinct brand pays for the structural comparison.
-    if isinstance(v, Effectful) and v.brand is brand:
+    if isinstance(v, Effectful) and (v.brand is brand or v.brand == brand):
         return v.payload
-    if not isinstance(v, Effectful) or v.brand != brand:
-        got = v.brand if isinstance(v, Effectful) else type(v).__name__
-        raise BrandMismatch(f"expected {brand!r}, got {got!r}")
-    return v.payload
+    got = v.brand if isinstance(v, Effectful) else type(v).__name__
+    raise BrandMismatch(f"expected {brand!r}, got {got!r}")
 
 
 @dataclass(frozen=True)
@@ -118,15 +118,13 @@ def liftA2(a: ApplicativeDict, f: Callable[[Any, Any], Any], x: Any, y: Any) -> 
     return a.apply(a.apply(a.pure(lambda u: lambda v: f(u, v)), x), y)
 
 
-def traverse_list(a: ApplicativeDict, f: Callable[[Any], Any], xs: list) -> Any:
-    """Run f across a list, collecting results, effects left to right."""
-
-    def go(i: int) -> Any:
-        if i == len(xs):
-            return a.pure([])
-        return liftA2(a, lambda h, t: [h] + t, f(xs[i]), go(i + 1))
-
-    return go(0)
+def traverse_list(a: ApplicativeDict, f: Callable[[Any], Any], xs: Iterable) -> Any:
+    """Run f across xs, collecting a list of results, effects left to
+    right: a fold that nests no Python frames per element."""
+    acc = a.pure([])
+    for x in xs:
+        acc = liftA2(a, lambda done, y: done + [y], acc, f(x))
+    return acc
 
 
 def sequence_list(a: ApplicativeDict, xs: list) -> Any:
@@ -187,50 +185,62 @@ list_monoid = MonoidDict(empty=[], combine=lambda a, b: a + b)
 sum_monoid = MonoidDict(empty=0, combine=lambda a, b: a + b)
 
 # ---------------------------------------------------------------------------
-# Reader
+# Reader, state and io: a computation's payload is a primitive step, a
+# function from the run's one slot (the environment, the state, or None
+# for io) to a result and the slot's next value, or a bind, the pair
+# (computation, continuation).
+
+
+def _monad(brand: Brand) -> MonadDict:
+    return MonadDict(
+        brand,
+        pure=lambda x: Effectful(brand, lambda s: (x, s)),
+        bind=lambda v, f: Effectful(brand, (v, f)),
+    )
+
+
+def _run(brand: Brand, v: Any, s: Any) -> tuple:
+    """v's result and the slot's final value, from s. Pending continuations
+    wait on a list, so running nests no Python frames, however deep the binds."""
+    pending = []
+    while True:
+        c = _expect(brand, v)
+        if type(c) is tuple:
+            v, f = c
+            pending.append(f)
+            continue
+        x, s = c(s)
+        if not pending:
+            return x, s
+        v = pending.pop()(x)
 
 
 def reader_monad() -> MonadDict:
-    return MonadDict(
-        READER,
-        pure=lambda x: Effectful(READER, lambda env: x),
-        bind=lambda v, f: Effectful(
-            READER, lambda env: run_reader(f(_expect(READER, v)(env)), env)
-        ),
-    )
+    return _monad(READER)
 
 
 def ask() -> Effectful:
     """The current environment."""
-    return Effectful(READER, lambda env: env)
+    return Effectful(READER, lambda env: (env, env))
 
 
 def local(modify: Callable[[Any], Any], r: Any) -> Effectful:
-    """Run r under a modified environment."""
-    return Effectful(READER, lambda env: run_reader(r, modify(env)))
+    """Run r under a modified environment: swap it into the slot, run r,
+    and swap the outer environment back."""
+
+    def leave(outer: Any) -> Effectful:
+        return Effectful(READER, (r, lambda x: Effectful(READER, lambda _: (x, outer))))
+
+    enter = Effectful(READER, lambda env: (env, modify(env)))
+    return Effectful(READER, (enter, leave))
 
 
 def run_reader(r: Any, env: Any) -> Any:
-    return _expect(READER, r)(env)
-
-
-# ---------------------------------------------------------------------------
-# State
+    return _run(READER, r, env)[0]
 
 
 def state_monad() -> MonadDict:
-    def bind(v: Any, f: Callable) -> Effectful:
-        def step(s: Any) -> tuple:
-            a, s1 = _expect(STATE, v)(s)
-            return run_state(f(a), s1)
-
-        return Effectful(STATE, step)
-
-    return MonadDict(
-        STATE,
-        pure=lambda x: Effectful(STATE, lambda s: (x, s)),
-        bind=bind,
-    )
+    return _monad(STATE)
 
 
 def get_state() -> Effectful:
@@ -251,29 +261,22 @@ def incr() -> Effectful:
 
 def run_state(v: Any, s0: Any) -> tuple:
     """Run a state computation, yielding (result, final state)."""
-    return _expect(STATE, v)(s0)
+    return _run(STATE, v, s0)
 
 
 get = get_state
 put = put_state
 
 
-# ---------------------------------------------------------------------------
-# Io: thunks forced only by run_io, in bind order.
-
-
 def io_monad() -> MonadDict:
-    return MonadDict(
-        IO,
-        pure=lambda x: Effectful(IO, lambda: x),
-        bind=lambda v, f: Effectful(IO, lambda: run_io(f(_expect(IO, v)()))),
-    )
+    """Host effects, deferred until run_io runs them in bind order."""
+    return _monad(IO)
 
 
 def embed_io(thunk: Callable[[], Any]) -> Effectful:
     """Wrap a host side effect as a deferred io computation."""
-    return Effectful(IO, thunk)
+    return Effectful(IO, lambda s: (thunk(), s))
 
 
 def run_io(v: Any) -> Any:
-    return _expect(IO, v)()
+    return _run(IO, v, None)[0]

@@ -287,10 +287,7 @@ def abstract_constants(e: Any) -> tuple[Any, int]:
             return m.bind(incr(), lambda i: m.pure(Var(f"x{i}")))
         return m.pure(x)
 
-    try:
-        return run_state(traverse_family(m, Expr, f, e), 0)
-    except RecursionError:
-        raise DepthLimitExceeded("term nests too deeply to number") from None
+    return run_state(traverse_family(m, Expr, f, e), 0)
 
 
 def free_vars(e: Any) -> list[str]:
@@ -317,10 +314,7 @@ def free_vars(e: Any) -> list[str]:
             return local(lambda scope: scope + [x.name], combined)
         return combined
 
-    try:
-        return run_reader(para(Expr, step, e), [])
-    except RecursionError:
-        raise DepthLimitExceeded("term nests too deeply to scope") from None
+    return run_reader(para(Expr, step, e), [])
 
 
 def constants(e: Any) -> list[int]:

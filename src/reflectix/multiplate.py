@@ -27,12 +27,13 @@ from .effects import (
     get_const,
     identity_applicative,
     identity_monad,
-    liftA2,
     run_identity,
+    traverse_list,
 )
+from .desc import conap
 from .errors import ArityMismatch
 from .typerep import Dyn, TypeRep
-from .views import split
+from .views import closed
 
 
 @dataclass
@@ -51,12 +52,13 @@ def scrap_m(t: TypeRep, x: Any) -> Scrapped:
     returns x unchanged. rebuild raises ArityMismatch when handed the
     wrong number of arguments.
     """
-    ca = split(t, x)
-    if ca is None:
+    _, dd, _, table = closed(t)
+    if dd is None:
         return Scrapped((), (), _checked("leaf", 0, lambda _args: x))
+    ca = conap(dd, x)
     con = ca.con
-    reps = tuple(f.ty for f in con.fields)
-    return Scrapped(reps, ca.args, _checked(con.name, con.arity, con.embed))
+    tys = table[id(con)].tys
+    return Scrapped(tys, ca.args, _checked(con.name, con.arity, con.embed))
 
 
 def _checked(name: str, arity: int, embed: Callable[[Sequence[Any]], Any]) -> Callable:
@@ -115,22 +117,12 @@ def plate(
     return Plate(run)
 
 
-def _traverse_product(
-    a: ApplicativeDict, p: Plate, reps: tuple, values: tuple
-) -> Any:
-    """p over each argument, effects left to right, into a tuple."""
-    acc = a.pure(())
-    for r, v in zip(reps, values):
-        acc = liftA2(a, lambda done, y: done + (y,), acc, p.run(r, v))
-    return acc
-
-
 def traverse_children_p(a: ApplicativeDict, p: Plate) -> Plate:
     """Apply p to each constructor argument, left to right, rebuild."""
 
     def run(t: TypeRep, x: Any) -> Any:
         s = scrap_m(t, x)
-        eff = _traverse_product(a, p, s.reps, s.values)
+        eff = traverse_list(a, lambda rv: p.run(*rv), zip(s.reps, s.values))
         return fmap(a, s.rebuild, eff)
 
     return Plate(run)

@@ -14,9 +14,10 @@ node at every type it is used at as its value is built.
 The builder, the checker and the materializer look up one plan per
 node: a type's plan, built once (desc.staged), states its descriptor
 kind's wire rule in both directions, the node a value is written as
-and what a node must look like to be read back (kind, tag and arity,
-the character range, UTF-8 text). Only an extensible type's
-constructors are found by name at each node, as the set stays open.
+and what a node must look like to be read back (kind and payload
+types, tag and arity, the character range, UTF-8 text). Only an
+extensible type's constructors are found by name at each node, as the
+set stays open.
 
 The materializer applies the rules at the concrete type of every use
 of a node and builds the value, so it is safe on a graph nobody
@@ -56,6 +57,7 @@ from .errors import (
     RepresentationRejected,
 )
 from .typerep import ANY, TypePattern, TypeRep, anti_unify, brief, pattern_size
+from .views import closed
 
 # ---------------------------------------------------------------------------
 # Graph model
@@ -115,8 +117,25 @@ def node_refs(node: ValueNode) -> tuple[int, ...]:
     return ()
 
 
+# The payload types decode_graph gives each kind of node. A graph built
+# in Python may hold others, and every read rule refuses those nodes.
+_PAYLOAD = {Imm: {"value": int}, Block: {"tag": int, "fields": tuple},
+            Bytes: {"data": bytes}, Float: {"value": float},
+            ExtCon: {"name": str, "fields": tuple}}
+
+
 def node_kind(node: ValueNode) -> str:
-    return type(node).__name__
+    """The node's kind, or the whole node if its payload has a type
+    decode_graph would not give it."""
+    payload = _PAYLOAD.get(type(node), {}).items()
+    ok = all(isinstance(getattr(node, a), ty) for a, ty in payload)
+    return type(node).__name__ if ok else d.brief_value(node)
+
+
+def _is_block(node: ValueNode) -> bool:
+    """node is a Block with an int tag and a tuple of fields."""
+    return (isinstance(node, Block) and isinstance(node.tag, int)
+            and isinstance(node.fields, tuple))
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +152,6 @@ def node_kind(node: ValueNode) -> str:
 MAGIC = b"GVG1"
 _I64_MIN = -(2**63)
 _I64_MAX = 2**63 - 1
-_U32_MAX = 2**32 - 1
 
 
 def encode_graph(g: ValueGraph) -> bytes:
@@ -143,33 +161,30 @@ def encode_graph(g: ValueGraph) -> bytes:
         raise MalformedValue(f"root {g.root} outside graph of {n} nodes")
     out = bytearray(MAGIC)
     out += struct.pack("<II", g.root, n)
-    for node in g.nodes:
-        if isinstance(node, Imm):
-            if not _I64_MIN <= node.value <= _I64_MAX:
-                raise MalformedValue(f"immediate {d.brief_value(node.value)} exceeds 64 bits")
-            out += b"\x00" + struct.pack("<q", node.value)
-        elif isinstance(node, Block):
-            _check_refs(node.fields, n)
-            if node.tag > _U32_MAX:
-                raise MalformedValue(f"block tag {d.brief_value(node.tag)} exceeds 32 bits")
-            out += b"\x01" + struct.pack("<II", node.tag, len(node.fields))
-            out += struct.pack(f"<{len(node.fields)}I", *node.fields)
-        elif isinstance(node, Bytes):
-            if len(node.data) > _U32_MAX:
-                raise MalformedValue("byte string exceeds 32-bit length")
-            out += b"\x02" + struct.pack("<I", len(node.data)) + node.data
-        elif isinstance(node, Float):
-            out += b"\x03" + struct.pack("<d", node.value)
-        elif isinstance(node, ExtCon):
-            _check_refs(node.fields, n)
-            name = node.name.encode("utf-8")
-            if len(name) > 0xFFFF:
-                raise MalformedValue("constructor name exceeds 16-bit length")
-            out += b"\x04" + struct.pack("<H", len(name)) + name
-            out += struct.pack("<I", len(node.fields))
-            out += struct.pack(f"<{len(node.fields)}I", *node.fields)
-        else:
-            raise MalformedValue(f"not a graph node: {d.brief_value(node)}")
+    try:
+        for node in g.nodes:
+            if isinstance(node, Imm):
+                out += b"\x00" + struct.pack("<q", node.value)
+            elif isinstance(node, Block):
+                _check_refs(node.fields, n)
+                out += b"\x01" + struct.pack("<II", node.tag, len(node.fields))
+                out += struct.pack(f"<{len(node.fields)}I", *node.fields)
+            elif isinstance(node, Bytes):
+                out += b"\x02" + struct.pack("<I", len(node.data)) + node.data
+            elif isinstance(node, Float):
+                out += b"\x03" + struct.pack("<d", node.value)
+            elif isinstance(node, ExtCon):
+                _check_refs(node.fields, n)
+                name = node.name.encode("utf-8")
+                out += b"\x04" + struct.pack("<H", len(name)) + name
+                out += struct.pack("<I", len(node.fields))
+                out += struct.pack(f"<{len(node.fields)}I", *node.fields)
+            else:
+                raise MalformedValue(f"not a graph node: {d.brief_value(node)}")
+    except (struct.error, TypeError, AttributeError) as e:
+        # A value too wide for its field, or of the wrong type, which only
+        # a graph built in Python can hold.
+        raise MalformedValue(f"cannot encode {d.brief_value(node)}: {e}") from None
     return bytes(out)
 
 
@@ -293,6 +308,7 @@ def _leaf_rule(u: TypePattern, dd: d.ScalarDesc) -> tuple:
     code, Bytes for UTF-8 text, Float for any other kind."""
     kind = dd.kind
     cls = {"int": Imm, "char": Imm, "text": Bytes}.get(kind, Float)
+    [(attr, payload)] = _PAYLOAD[cls].items()
 
     def write(b: _Builder, v: Any) -> ValueNode:
         d.check_leaf(kind, v)
@@ -307,7 +323,7 @@ def _leaf_rule(u: TypePattern, dd: d.ScalarDesc) -> tuple:
             raise MalformedValue(why) from None
 
     def read(node: ValueNode) -> tuple:
-        if not isinstance(node, cls):
+        if not isinstance(node, cls) or not isinstance(getattr(node, attr), payload):
             raise Incompatible(brief(u), node_kind(node))
         if kind == "text":
             try:
@@ -329,29 +345,28 @@ def _con_rule(u: TypePattern, dd: d.Desc) -> tuple:
     """A variant's constant constructor is Imm of its tag, and any other
     a Block of its tag and fields; constants and the rest are tagged
     apart, in declaration order. A record or bare product is Block 0 of
-    its one constructor's fields."""
+    its one constructor's fields. Tags and field types come from the
+    constructor table of views.closed."""
     variant = isinstance(dd, d.VariantDesc)
     cst, ncst = (dd.cst, dd.ncst) if variant else ((), (dd.con,))
-    blocks = [(c, tuple([f.ty for f in c.fields])) for c in ncst]
-    tags = {id(c): (tag, None) for tag, c in enumerate(cst)}
-    for tag, (c, tys) in enumerate(blocks):
-        tags[id(c)] = (tag, tys)
+    table = closed(u)[3]
+    blocks = [(c, table[id(c)].tys) for c in ncst]
 
     def write(b: _Builder, v: Any) -> ValueNode:
         ca = d.conap(dd, v)
-        tag, tys = tags[id(ca.con)]
-        if tys is None:
-            return Imm(tag)
-        return Block(tag, tuple(b._fields(tys, ca.args)))
+        _, meta, tys, _ = table[id(ca.con)]
+        if meta.kind == "cst":
+            return Imm(meta.tag)
+        return Block(meta.tag, tuple(b._fields(tys, ca.args)))
 
     def read(node: ValueNode) -> tuple:
-        if variant and isinstance(node, Imm):
+        if variant and isinstance(node, Imm) and isinstance(node.value, int):
             if not 0 <= node.value < len(cst):
                 raise Incompatible(
                     f"{brief(u)} constant tag below {len(cst)}", f"Imm {node.value}"
                 )
             return (), cst[node.value].embed
-        if not isinstance(node, Block) or (not variant and node.tag != 0):
+        if not _is_block(node) or (not variant and node.tag != 0):
             raise Incompatible(brief(u), node_kind(node))
         if not 0 <= node.tag < len(blocks):
             raise Incompatible(
@@ -372,7 +387,7 @@ def _array_rule(u: TypePattern, dd: d.ArrayLikeDesc) -> tuple:
         return Block(0, tuple(b._fields(elem, d.check_leaf("array", v))))
 
     def read(node: ValueNode) -> tuple:
-        if not isinstance(node, Block) or node.tag != 0:
+        if not _is_block(node) or node.tag != 0:
             raise Incompatible(brief(u), node_kind(node))
         return zip(node.fields, elem), list
 
@@ -390,7 +405,8 @@ def _extensible_rule(u: TypePattern, dd: d.ExtensibleDesc) -> tuple:
         return ExtCon(ca.con.name, tuple(b._fields(tys, ca.args)))
 
     def read(node: ValueNode) -> tuple:
-        if not isinstance(node, ExtCon):
+        if not (isinstance(node, ExtCon) and isinstance(node.name, str)
+                and isinstance(node.fields, tuple)):
             raise Incompatible(brief(u), node_kind(node))
         con = d.ext_find(dd, node.name)
         _arity(con, node, "constructor arity")

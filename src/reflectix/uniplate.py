@@ -23,9 +23,9 @@ from .effects import (
     fmap,
     traverse_list,
 )
-from .desc import Desc, conap, staged
+from .desc import conap
 from .errors import ArityMismatch, DepthLimitExceeded, FuelExhausted
-from .typerep import TypeRep, ty_equal
+from .typerep import TypeRep
 from .views import closed
 
 DEFAULT_FUEL = 10**6
@@ -39,19 +39,6 @@ class Scrap:
     rebuild: Callable[[Sequence[Any]], Any]
 
 
-@staged
-def _scrap_plan(t: TypeRep) -> tuple[Optional[Desc], dict[int, tuple[int, ...]]]:
-    """t's descriptor past its synonyms, None for a leaf type, and the
-    positions of the arguments typed t, by constructor id."""
-    _, dd, cons = closed(t)
-    return dd, {
-        id(c): tuple(
-            i for i, f in enumerate(c.fields) if ty_equal(f.ty, t) is not None
-        )
-        for c in cons
-    }
-
-
 def scrap(t: TypeRep, x: Any) -> Scrap:
     """Split x into children and rebuild.
 
@@ -61,7 +48,7 @@ def scrap(t: TypeRep, x: Any) -> Scrap:
     Which arguments are children is planned once per type; the plan
     shares the descriptor cache's bound and invalidation.
     """
-    dd, positions_of = _scrap_plan(t)
+    _, dd, _, table = closed(t)
     if dd is None:
         def rebuild_leaf(new: Sequence[Any]) -> Any:
             if len(new) != 0:
@@ -72,7 +59,7 @@ def scrap(t: TypeRep, x: Any) -> Scrap:
     ca = conap(dd, x)
     con = ca.con
     flat = ca.args
-    positions = positions_of[id(con)]
+    positions = table[id(con)].positions
 
     def rebuild(new: Sequence[Any]) -> Any:
         if len(new) != len(positions):
@@ -177,9 +164,14 @@ def traverse_family(
     """Effectful bottom-up map over the whole family.
     Raises DepthLimitExceeded when x nests too deeply to recurse over."""
     a = app_of_mon(m)
+
+    def go(y: Any) -> Any:
+        # Two frames per level: this one and traverse_list's.
+        s = scrap(t, y)
+        return m.bind(fmap(a, s.rebuild, traverse_list(a, go, s.children)), f)
+
     try:
-        inner = traverse_children(a, t, lambda c: traverse_family(m, t, f, c), x)
-        return m.bind(inner, f)
+        return go(x)
     except RecursionError:
         raise DepthLimitExceeded("value nests too deeply to traverse") from None
 

@@ -17,7 +17,7 @@ view nests the flat argument tuple in pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 from .desc import (
     NO_DESC,
@@ -39,7 +39,7 @@ from .desc import (
     view_desc,
 )
 from .errors import ArityMismatch, NoMatchingConstructor, NoView, NoRepresentation
-from .typerep import TypeRep, brief
+from .typerep import TypeRep, brief, ty_equal
 
 # ---------------------------------------------------------------------------
 # Sum-of-products view
@@ -207,13 +207,12 @@ def sumprod(t: TypeRep) -> SumProd:
             structure = branches[-1]
             for b in reversed(branches[:-1]):
                 structure = Sum(b, structure)
-        # Constructors by identity: a Constructor's == compares fields.
-        index = {id(c): i for i, c in enumerate(dd.cons)}
+        table = closed(t)[3]
         total = len(dd.cons)
 
         def bck(x: Any, _v=dd) -> Any:
             ca = conap(_v, x)
-            return _sum_value(index[id(ca.con)], total, _nest(ca.args))
+            return _sum_value(table[id(ca.con)].index, total, _nest(ca.args))
 
         def fwd(s: Any, _v=dd) -> Any:
             idx = 0
@@ -244,24 +243,6 @@ def sumprod(t: TypeRep) -> SumProd:
     raise NoView(f"no sum-of-products view for {brief(t)}")
 
 
-@staged
-def closed(t: TypeRep) -> tuple[TypeRep, Optional[Desc], tuple[Constructor, ...]]:
-    """t past its synonyms, its descriptor if closed (a variant, record
-    or bare product) or else None, and the constructors it splits values
-    into, in declaration order. Extensible values are leaves here. Built
-    once per type, for split, conlist, spine and uniplate.scrap."""
-    t, dd = follow_synonyms(t)
-    if isinstance(dd, VariantDesc):
-        return t, dd, dd.cons
-    if isinstance(dd, (RecordDesc, ProductDesc)):
-        return t, dd, (dd.con,)
-    return t, None, ()
-
-
-# ---------------------------------------------------------------------------
-# Spine view
-
-
 @dataclass(frozen=True)
 class ConMeta:
     """Constructor identity as visible through the spine.
@@ -276,6 +257,49 @@ class ConMeta:
     arity: int
     kind: str
     tag: int
+
+
+class _ConInfo(NamedTuple):
+    """One constructor of a type, as closed(t) tables it."""
+
+    index: int  # its place in declaration order
+    meta: ConMeta  # its spine identity; kind and tag are also its wire tag
+    tys: tuple[TypeRep, ...]  # its field types
+    positions: tuple[int, ...]  # the fields typed as the type asked for
+
+
+@staged
+def closed(t: TypeRep) -> tuple[TypeRep, Optional[Desc], tuple, dict[int, _ConInfo]]:
+    """t past its synonyms; its descriptor if closed (a variant, record
+    or bare product), or else None; the constructors it splits values
+    into, in declaration order; and each one's _ConInfo by constructor
+    id. Extensible values are leaves here. Built once per type, for the
+    views, the traversals and the wire plans."""
+    u, dd = follow_synonyms(t)
+    if isinstance(dd, VariantDesc):
+        cons, groups = dd.cons, (("cst", dd.cst), ("ncst", dd.ncst))
+    elif isinstance(dd, RecordDesc):
+        cons, groups = (dd.con,), (("record", (dd.con,)),)
+    elif isinstance(dd, ProductDesc):
+        cons, groups = (dd.con,), (("product", (dd.con,)),)
+    else:
+        return u, None, (), {}
+    owner = u.head if isinstance(dd, ProductDesc) else dd  # a bare product: its head
+    metas = {
+        id(c): ConMeta(c.name, owner.name, owner.module_path, c.arity, kind, tag)
+        for kind, group in groups for tag, c in enumerate(group)
+    }
+    table = {}
+    for i, c in enumerate(cons):
+        tys = tuple(f.ty for f in c.fields)
+        # Compared with t as asked, before its synonyms are followed.
+        at_t = tuple(j for j, ty in enumerate(tys) if ty_equal(ty, t) is not None)
+        table[id(c)] = _ConInfo(i, metas[id(c)], tys, at_t)
+    return u, dd, cons, table
+
+
+# ---------------------------------------------------------------------------
+# Spine view
 
 
 @dataclass(frozen=True)
@@ -298,29 +322,6 @@ class App:
 Spine = Any  # ConNode | App
 
 
-@staged
-def _spine_plan(t: TypeRep) -> tuple[Desc, dict[int, ConMeta]]:
-    """t's descriptor past its synonyms, and the meta of each of its
-    constructors by the constructor's id."""
-    t, dd, _ = closed(t)
-    if dd is None:
-        raise NoView(f"no spine view for {brief(t)}")
-    if isinstance(dd, VariantDesc):
-        variant, module_path = dd.name, dd.module_path
-        tables = (("cst", dd.cst), ("ncst", dd.ncst))
-    elif isinstance(dd, RecordDesc):
-        variant, module_path = dd.name, dd.module_path
-        tables = (("record", (dd.con,)),)
-    else:
-        variant, module_path = t.head.name, t.head.module_path
-        tables = (("product", (dd.con,)),)
-    tagged = [(c, kind, tag) for kind, table in tables for tag, c in enumerate(table)]
-    return dd, {
-        id(c): ConMeta(c.name, variant, module_path, c.arity, kind, tag)
-        for c, kind, tag in tagged
-    }
-
-
 def spine(t: TypeRep, x: Any) -> Spine:
     """Split x into constructor and argument applications.
 
@@ -329,10 +330,12 @@ def spine(t: TypeRep, x: Any) -> Spine:
     back on in declaration order. Each constructor's meta is made once
     per type and found by the constructor's identity.
     """
-    dd, metas = _spine_plan(t)
+    u, dd, _, table = closed(t)
+    if dd is None:
+        raise NoView(f"no spine view for {brief(u)}")
     ca = conap(dd, x)
     con = ca.con
-    s: Spine = ConNode(con.embed, metas[id(con)])
+    s: Spine = ConNode(con.embed, table[id(con)].meta)
     for f, v in zip(con.fields, ca.args):
         s = App(s, f.ty, v)
     return s

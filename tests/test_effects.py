@@ -1,5 +1,7 @@
 """Effect interpreters: stock monads, brand safety, traversal order."""
 
+from time import perf_counter
+
 import pytest
 
 from reflectix import effects as fx
@@ -104,6 +106,49 @@ def test_io_defers_until_run():
     # each run re-executes the effects
     assert fx.run_io(prog) == 2
     assert log == ["a", "b", "a", "b"]
+
+
+def test_reader_state_and_io_run_deep_binds_without_recursing():
+    n = 10_000
+
+    def left_nested(m, prim):
+        v = m.pure(0)
+        for _ in range(n):
+            v = m.bind(v, lambda x: m.bind(prim, lambda y: m.pure(x + y)))
+        return v
+
+    def right_nested(m, prim):
+        def after(i, total):
+            def k(x):
+                if i == n:
+                    return m.pure(total + x)
+                return m.bind(prim, after(i + 1, total + x))
+
+            return k
+
+        return m.bind(prim, after(1, 0))
+
+    cases = [
+        (fx.reader_monad(), fx.ask(), lambda v: fx.run_reader(v, 1), n),
+        (fx.state_monad(), fx.incr(), lambda v: fx.run_state(v, 0),
+         (n * (n - 1) // 2, n)),
+        (fx.io_monad(), fx.embed_io(lambda: 1), fx.run_io, n),
+    ]
+    for m, prim, run, want in cases:
+        for build in (left_nested, right_nested):
+            prog = build(m, prim)
+            t0 = perf_counter()
+            assert run(prog) == want, (m.brand, build.__name__)
+            assert perf_counter() - t0 < 1.0, (m.brand, build.__name__)
+    m = fx.reader_monad()
+    r = fx.ask()
+    for _ in range(n):
+        r = fx.local(lambda e: e + 1, r)
+    # The outer environment is back once the local part has run.
+    prog = m.bind(r, lambda x: m.bind(fx.ask(), lambda e: m.pure((x, e))))
+    t0 = perf_counter()
+    assert fx.run_reader(prog, 0) == (n, 0)
+    assert perf_counter() - t0 < 1.0
 
 
 def test_brand_mismatch_on_wrong_runner():

@@ -5,6 +5,7 @@ library change that deletes or renames one of them breaks
 `perfbench/run.py --trace 1`; these tests catch that in the suite.
 """
 
+import dataclasses
 import importlib
 import importlib.util
 from pathlib import Path
@@ -33,5 +34,23 @@ def test_dispatch_and_monad_hooks_exist():
     assert callable(extfun.ExtFun.apply)
     assert callable(extfun.ExtFun._select)
     assert hasattr(extfun.create("probe"), "last_probes")
+    # --trace 1 counts effects.bind by swapping each factory's bind.
+    run = {
+        "identity_monad": effects.run_identity,
+        "reader_monad": lambda v: effects.run_reader(v, None),
+        "state_monad": lambda v: effects.run_state(v, 0)[0],
+        "io_monad": effects.run_io,
+    }
     for name in lt.MONAD_FACTORIES:
-        assert callable(getattr(effects, name, None)), name
+        factory = getattr(effects, name, None)
+        assert callable(factory), name
+        m = factory()
+        calls = []
+
+        def bind(v, f, inner=m.bind):
+            calls.append(name)
+            return inner(v, f)
+
+        traced = dataclasses.replace(m, bind=bind)
+        prog = traced.bind(traced.pure(1), lambda x: traced.pure(x + 1))
+        assert run[name](prog) == 2 and calls == [name], name

@@ -609,6 +609,27 @@ def test_encode_graph_validates():
         ss.encode_graph(ss.ValueGraph([ss.Imm(2**63)], 0))
 
 
+def test_encode_graph_refuses_hand_built_nodes_of_the_wrong_shape():
+    # decode_graph never builds these; only a graph made in Python can.
+    for node in (ss.Block(-1, ()), ss.Float("x"), ss.Bytes("str")):
+        with pytest.raises(MalformedValue, match="cannot encode"):
+            ss.encode_graph(ss.ValueGraph([node], 0))
+
+
+def test_read_rules_refuse_payloads_decode_graph_never_builds():
+    imm = ss.ValueGraph([ss.Imm("x")], 0)
+    with pytest.raises(Incompatible) as e:
+        ss.materialize(Int, imm)
+    assert str(e.value) == "at root: expected Int, found Imm(value='x')"
+    with pytest.raises(Incompatible):
+        ss.materialize(Char, imm)
+    block = ss.ValueGraph([ss.Block(0, 5)], 0)
+    for walk in (ss.materialize, ss.check_compat):
+        for t in (List(Int), Pair(Int, Int), Expr, Array(Int)):
+            with pytest.raises(Incompatible, match=r"found Block\(tag=0, fields=5\)"):
+                walk(t, block)
+
+
 # ---------------------------------------------------------------------------
 # Hostile bytes
 

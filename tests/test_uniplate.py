@@ -12,6 +12,7 @@ from reflectix.exprlang import (
     Add,
     Cst,
     Expr,
+    Let,
     Neg,
     Sub,
     Var,
@@ -265,13 +266,22 @@ def test_deep_folds_and_maps_raise_a_library_error():
         parse_expr("(neg " * 3000 + "(cst 1)" + ")" * 3000)
 
 
-def test_effectful_passes_refuse_deep_terms_their_fold_reaches():
-    # The traversal passes at this depth; running the state or reader
-    # computation it built recurses deeper.
-    e = Cst(1)
+def test_effectful_passes_reach_as_deep_as_their_traversals():
+    # Running the built state or reader computation nests no frames, so
+    # both passes go as deep as traverse_family and para.
+    neg = Cst(7)
     for _ in range(300):
-        e = Neg(e)
-    with pytest.raises(DepthLimitExceeded):
-        abstract_constants(e)
-    with pytest.raises(DepthLimitExceeded):
-        free_vars(e)
+        neg = Neg(neg)
+    out, n = abstract_constants(neg)
+    assert n == 1
+    assert print_expr(out) == "(neg " * 300 + "(var x0)" + ")" * 300
+    assert free_vars(neg) == []
+    assert free_vars(out) == ["x0"]
+    let = Add(Var("y"), Var("v0"))
+    for i in range(300):
+        let = Let(f"v{i}", Cst(i), let)
+    out, n = abstract_constants(let)
+    assert n == 300
+    assert (out.name, out.defn) == ("v299", Var("x0"))
+    assert free_vars(let) == ["y"]
+    assert free_vars(out) == [f"x{i}" for i in range(300)] + ["y"]
