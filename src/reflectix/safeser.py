@@ -119,23 +119,26 @@ def node_refs(node: ValueNode) -> tuple[int, ...]:
 
 # The payload types decode_graph gives each kind of node. A graph built
 # in Python may hold others, and every read rule refuses those nodes.
-_PAYLOAD = {Imm: {"value": int}, Block: {"tag": int, "fields": tuple},
-            Bytes: {"data": bytes}, Float: {"value": float},
-            ExtCon: {"name": str, "fields": tuple}}
+_PAYLOAD = {Imm: (("value", int),), Block: (("tag", int), ("fields", tuple)),
+            Bytes: (("data", bytes),), Float: (("value", float),),
+            ExtCon: (("name", str), ("fields", tuple))}
+
+
+def _well_typed(node: ValueNode, cls: type) -> bool:
+    """node is a cls whose payload has the types decode_graph gives it."""
+    if not isinstance(node, cls):
+        return False
+    for attr, ty in _PAYLOAD[cls]:
+        if not isinstance(getattr(node, attr), ty):
+            return False
+    return True
 
 
 def node_kind(node: ValueNode) -> str:
     """The node's kind, or the whole node if its payload has a type
     decode_graph would not give it."""
-    payload = _PAYLOAD.get(type(node), {}).items()
-    ok = all(isinstance(getattr(node, a), ty) for a, ty in payload)
+    ok = type(node) not in _PAYLOAD or _well_typed(node, type(node))
     return type(node).__name__ if ok else d.brief_value(node)
-
-
-def _is_block(node: ValueNode) -> bool:
-    """node is a Block with an int tag and a tuple of fields."""
-    return (isinstance(node, Block) and isinstance(node.tag, int)
-            and isinstance(node.fields, tuple))
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +311,6 @@ def _leaf_rule(u: TypePattern, dd: d.ScalarDesc) -> tuple:
     code, Bytes for UTF-8 text, Float for any other kind."""
     kind = dd.kind
     cls = {"int": Imm, "char": Imm, "text": Bytes}.get(kind, Float)
-    [(attr, payload)] = _PAYLOAD[cls].items()
 
     def write(b: _Builder, v: Any) -> ValueNode:
         d.check_leaf(kind, v)
@@ -323,7 +325,7 @@ def _leaf_rule(u: TypePattern, dd: d.ScalarDesc) -> tuple:
             raise MalformedValue(why) from None
 
     def read(node: ValueNode) -> tuple:
-        if not isinstance(node, cls) or not isinstance(getattr(node, attr), payload):
+        if not _well_typed(node, cls):
             raise Incompatible(brief(u), node_kind(node))
         if kind == "text":
             try:
@@ -346,10 +348,10 @@ def _con_rule(u: TypePattern, dd: d.Desc) -> tuple:
     a Block of its tag and fields; constants and the rest are tagged
     apart, in declaration order. A record or bare product is Block 0 of
     its one constructor's fields. Tags and field types come from the
-    constructor table of views.closed."""
+    constructor table of views.closed, and dd with it, as memos empty apart."""
+    _, dd, _, table = closed(u)
     variant = isinstance(dd, d.VariantDesc)
     cst, ncst = (dd.cst, dd.ncst) if variant else ((), (dd.con,))
-    table = closed(u)[3]
     blocks = [(c, table[id(c)].tys) for c in ncst]
 
     def write(b: _Builder, v: Any) -> ValueNode:
@@ -360,13 +362,13 @@ def _con_rule(u: TypePattern, dd: d.Desc) -> tuple:
         return Block(meta.tag, tuple(b._fields(tys, ca.args)))
 
     def read(node: ValueNode) -> tuple:
-        if variant and isinstance(node, Imm) and isinstance(node.value, int):
+        if variant and _well_typed(node, Imm):
             if not 0 <= node.value < len(cst):
                 raise Incompatible(
                     f"{brief(u)} constant tag below {len(cst)}", f"Imm {node.value}"
                 )
             return (), cst[node.value].embed
-        if not _is_block(node) or (not variant and node.tag != 0):
+        if not _well_typed(node, Block) or (not variant and node.tag != 0):
             raise Incompatible(brief(u), node_kind(node))
         if not 0 <= node.tag < len(blocks):
             raise Incompatible(
@@ -387,7 +389,7 @@ def _array_rule(u: TypePattern, dd: d.ArrayLikeDesc) -> tuple:
         return Block(0, tuple(b._fields(elem, d.check_leaf("array", v))))
 
     def read(node: ValueNode) -> tuple:
-        if not _is_block(node) or node.tag != 0:
+        if not _well_typed(node, Block) or node.tag != 0:
             raise Incompatible(brief(u), node_kind(node))
         return zip(node.fields, elem), list
 
@@ -405,8 +407,7 @@ def _extensible_rule(u: TypePattern, dd: d.ExtensibleDesc) -> tuple:
         return ExtCon(ca.con.name, tuple(b._fields(tys, ca.args)))
 
     def read(node: ValueNode) -> tuple:
-        if not (isinstance(node, ExtCon) and isinstance(node.name, str)
-                and isinstance(node.fields, tuple)):
+        if not _well_typed(node, ExtCon):
             raise Incompatible(brief(u), node_kind(node))
         con = d.ext_find(dd, node.name)
         _arity(con, node, "constructor arity")

@@ -166,9 +166,7 @@ def traverse_family(
     a = app_of_mon(m)
 
     def go(y: Any) -> Any:
-        # Two frames per level: this one and traverse_list's.
-        s = scrap(t, y)
-        return m.bind(fmap(a, s.rebuild, traverse_list(a, go, s.children)), f)
+        return m.bind(traverse_children(a, t, go, y), f)
 
     try:
         return go(x)

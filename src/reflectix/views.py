@@ -200,6 +200,8 @@ def sumprod(t: TypeRep) -> SumProd:
 
         return IsoSP(Delay(rep.repr_ty), fwd=fwd, bck=rep.to_repr)
     if isinstance(dd, VariantDesc):
+        # dd with its table from one closed(t), as the memos empty apart.
+        _, dd, _, table = closed(t)
         branches = [_con_sp(c) for c in dd.cons]
         if not branches:
             structure: SumProd = EMPTY
@@ -207,7 +209,6 @@ def sumprod(t: TypeRep) -> SumProd:
             structure = branches[-1]
             for b in reversed(branches[:-1]):
                 structure = Sum(b, structure)
-        table = closed(t)[3]
         total = len(dd.cons)
 
         def bck(x: Any, _v=dd) -> Any:

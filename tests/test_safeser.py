@@ -973,3 +973,20 @@ def test_warm_walks_look_nothing_up(monkeypatch):
     assert ss.deserialize(Expr, ss.serialize(Expr, e)) == e
     ss.check_compat(Expr, graph)
     assert calls == []
+
+
+def test_constructor_tables_outlive_descriptor_memo_rollover():
+    # Each staged memo empties on its own at its bound, and Expr's
+    # descriptor is rebuilt with new constructors. Fresh Array^k(Int)
+    # types roll over the descriptor, plan and sum-of-products memos
+    # while Expr's constructor table stays cached.
+    e = Add(Cst(1), Var("x"))
+    ss.serialize(Expr, e)
+    t = Int
+    for _ in range(d._CACHE_BOUND + 44):
+        t = Array(t)
+        ss.serialize(t, [])
+        assert g.equal(t, [], [])
+    assert ss.deserialize(Expr, ss.serialize(Expr, e)) == e
+    assert g.equal(Expr, e, Add(Cst(1), Var("x")))
+    assert not g.equal(Expr, e, Cst(1))
