@@ -14,17 +14,20 @@ passes over text files. Exit codes are a stable contract:
   6  representation rejected by an abstract type
   7  unknown extensible constructor
   8  type has no descriptor
+  9  graph would build more values than its materialization budget
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from typing import Any, Callable, Optional
 
 from . import exprlang, safeser
 from .errors import (
+    BudgetExceeded,
     CyclicValue,
     DepthLimitExceeded,
     Incompatible,
@@ -50,6 +53,7 @@ EXIT_PARSE = 5
 EXIT_REJECTED = 6
 EXIT_UNKNOWN_CON = 7
 EXIT_NO_DESCRIPTOR = 8
+EXIT_BUDGET = 9
 
 
 def exit_code_for(e: BaseException) -> int:
@@ -67,6 +71,8 @@ def exit_code_for(e: BaseException) -> int:
         return EXIT_UNKNOWN_CON
     if isinstance(e, NoDescriptor):
         return EXIT_NO_DESCRIPTOR
+    if isinstance(e, BudgetExceeded):
+        return EXIT_BUDGET
     return EXIT_FAILURE
 
 
@@ -205,7 +211,10 @@ def cmd_roundtrip(args: argparse.Namespace) -> int:
     return EXIT_INCOMPATIBLE
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+@functools.cache
+def _parser() -> _Parser:
+    """The argument parser, built on first use and kept for the process:
+    building it costs more than most commands do."""
     parser = _Parser(
         prog="reflectix",
         description="Inspect, validate, and round-trip serialized value "
@@ -227,7 +236,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         "--pass",
         required=True,
         dest="pass_name",
-        choices=list(PASSES),
+        choices=PASSES,
     )
     p.add_argument("file")
     p.set_defaults(run=cmd_demo_expr)
@@ -244,7 +253,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     p.add_argument("file")
     p.set_defaults(run=cmd_roundtrip)
 
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: Optional[list[str]] = None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.run(args)
     except OSError as e:

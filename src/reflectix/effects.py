@@ -13,6 +13,7 @@ of different brands raises BrandMismatch instead of producing nonsense.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Iterable
 
 from .errors import BrandMismatch
@@ -120,23 +121,60 @@ def liftA2(a: ApplicativeDict, f: Callable[[Any, Any], Any], x: Any, y: Any) -> 
 
 def traverse_list(a: ApplicativeDict, f: Callable[[Any], Any], xs: Iterable) -> Any:
     """Run f across xs, collecting a list of results, effects left to
-    right: a fold that nests no Python frames per element."""
-    acc = a.pure([])
+    right: a fold that nests no Python frames per element. The results
+    so far are a persistent chain (last, (previous, ... None)), which a
+    result may share with other runs, and become a list once at the end."""
+    acc = a.pure(None)
     for x in xs:
-        acc = liftA2(a, lambda done, y: done + [y], acc, f(x))
-    return acc
+        acc = liftA2(a, lambda done, y: (y, done), acc, f(x))
+    return fmap(a, _chain_list, acc)
+
+
+def _chain_list(chain: Any) -> list:
+    out = []
+    while chain is not None:
+        y, chain = chain
+        out.append(y)
+    out.reverse()
+    return out
 
 
 def sequence_list(a: ApplicativeDict, xs: list) -> Any:
     return traverse_list(a, lambda v: v, xs)
 
 
+# traverseM binds the computations in runs of _CHUNK, each run nested to
+# the right as it goes and the runs chained to the left. A lazy monad's
+# bind (reader, state, io) returns at once, so a run's steps are built
+# only as the run reaches them; an eager one's (identity's) calls on at
+# once, nesting three frames per step, so at most _CHUNK steps deep.
+_CHUNK = 32
+
+
 def traverseM(m: MonadDict, f: Callable[[Any], Any], xs: list) -> Any:
-    return traverse_list(app_of_mon(m), f, xs)
+    """traverse_list for a monad, with one bind per element where
+    app_of_mon's liftA2 would take four; f still runs on every element
+    before any effect does."""
+    fxs = [f(x) for x in xs]
+
+    def run(lo: int, done: Any) -> Any:
+        hi = min(lo + _CHUNK, len(fxs))
+
+        def step(i: int, done: Any) -> Any:
+            if i == hi:
+                return m.pure(done)
+            return m.bind(fxs[i], lambda y: step(i + 1, (y, done)))
+
+        return step(lo, done)
+
+    acc = m.pure(None)
+    for lo in range(0, len(fxs), _CHUNK):
+        acc = m.bind(acc, partial(run, lo))
+    return m.bind(acc, lambda chain: m.pure(_chain_list(chain)))
 
 
 def sequenceM(m: MonadDict, xs: list) -> Any:
-    return sequence_list(app_of_mon(m), xs)
+    return traverseM(m, lambda v: v, xs)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +242,8 @@ def _run(brand: Brand, v: Any, s: Any) -> tuple:
     wait on a list, so running nests no Python frames, however deep the binds."""
     pending = []
     while True:
-        c = _expect(brand, v)
+        # _expect, inlined: this is the loop every step of a run takes.
+        c = v.payload if type(v) is Effectful and v.brand is brand else _expect(brand, v)
         if type(c) is tuple:
             v, f = c
             pending.append(f)

@@ -121,6 +121,10 @@ class DepthLimitExceeded(SafeserError):
     """A value or graph nests too deeply for the recursive walk over it."""
 
 
+class BudgetExceeded(SafeserError):
+    """Materializing a graph would build more values than its budget."""
+
+
 class ParseError(ReflectixError):
     """Text input failed to parse."""
 

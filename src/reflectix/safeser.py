@@ -22,7 +22,8 @@ set stays open.
 The materializer applies the rules at the concrete type of every use
 of a node and builds the value, so it is safe on a graph nobody
 checked. It refuses cycles (the value layer cannot tie knots) by
-noticing when it reaches a node whose own fields it is still building.
+noticing when it reaches a node whose own fields it is still building,
+and a graph that would need more (node, type) pairs than its budget.
 
 The checker, check_compat, builds no value. It walks nodes with type
 patterns, generalizing a node's recorded pattern by anti-unification
@@ -47,6 +48,7 @@ from typing import Any, Callable, Iterator, Optional
 
 from . import desc as d
 from .errors import (
+    BudgetExceeded,
     CyclicValue,
     DepthLimitExceeded,
     Incompatible,
@@ -63,14 +65,14 @@ from .views import closed
 # Graph model
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Imm:
     """A 64-bit signed immediate."""
 
     value: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Block:
     """A constructor application: tag plus node references."""
 
@@ -78,21 +80,21 @@ class Block:
     fields: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Bytes:
     """An uninterpreted byte string."""
 
     data: bytes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Float:
     """A 64-bit IEEE-754 value."""
 
     value: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExtCon:
     """An extensible constructor by name, plus node references."""
 
@@ -169,7 +171,8 @@ def encode_graph(g: ValueGraph) -> bytes:
             if isinstance(node, Imm):
                 out += b"\x00" + struct.pack("<q", node.value)
             elif isinstance(node, Block):
-                _check_refs(node.fields, n)
+                for r in node.fields:
+                    _check_ref(r, g.nodes)
                 out += b"\x01" + struct.pack("<II", node.tag, len(node.fields))
                 out += struct.pack(f"<{len(node.fields)}I", *node.fields)
             elif isinstance(node, Bytes):
@@ -177,7 +180,8 @@ def encode_graph(g: ValueGraph) -> bytes:
             elif isinstance(node, Float):
                 out += b"\x03" + struct.pack("<d", node.value)
             elif isinstance(node, ExtCon):
-                _check_refs(node.fields, n)
+                for r in node.fields:
+                    _check_ref(r, g.nodes)
                 name = node.name.encode("utf-8")
                 out += b"\x04" + struct.pack("<H", len(name)) + name
                 out += struct.pack("<I", len(node.fields))
@@ -191,107 +195,127 @@ def encode_graph(g: ValueGraph) -> bytes:
     return bytes(out)
 
 
-def _check_refs(refs: tuple[int, ...], n: int) -> None:
-    for r in refs:
-        if not 0 <= r < n:
-            raise MalformedValue(f"node reference {r} outside graph of {n} nodes")
+def _check_ref(r: Any, nodes: list) -> None:
+    """r indexes nodes. A graph built in Python may hold any object as a
+    reference, and a negative one would index from the end."""
+    if not (isinstance(r, int) and 0 <= r < len(nodes)):
+        raise MalformedValue(f"node reference {r} outside graph of {len(nodes)} nodes")
 
 
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def fail(self, reason: str) -> MalformedBytes:
-        return MalformedBytes(self.pos, reason)
-
-    def take(self, n: int, what: str) -> bytes:
-        if self.pos + n > len(self.data):
-            raise self.fail(f"truncated {what}")
-        chunk = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return chunk
-
-    def u8(self, what: str) -> int:
-        return self.take(1, what)[0]
-
-    def u16(self, what: str) -> int:
-        return struct.unpack("<H", self.take(2, what))[0]
-
-    def u32(self, what: str) -> int:
-        return struct.unpack("<I", self.take(4, what))[0]
-
-    def i64(self, what: str) -> int:
-        return struct.unpack("<q", self.take(8, what))[0]
-
-    def f64(self, what: str) -> float:
-        return struct.unpack("<d", self.take(8, what))[0]
+_HEADER = struct.Struct("<II")  # also a Block's tag and arity
+_I64 = struct.Struct("<q")
+_U16 = struct.Struct("<H")
+_U32 = struct.Struct("<I")
+_F64 = struct.Struct("<d")
+# Field references by arity, compiled once for the arities most nodes
+# have; a wider node compiles its own.
+_REFS = tuple(struct.Struct(f"<{k}I") for k in range(16))
 
 
 def decode_graph(data: bytes) -> ValueGraph:
     """Parse wire bytes into a graph, validating every structural claim.
 
-    Magic, node kinds, lengths, reference ranges, and the root index
-    are all checked; any violation raises MalformedBytes carrying the
-    byte offset. Trailing bytes are rejected so that re-encoding a
-    decoded graph reproduces the input exactly.
+    One pass over the bytes, each field read in place by a precompiled
+    struct. Magic, node kinds, lengths, reference ranges, and the root
+    index are all checked; any violation raises MalformedBytes whose
+    offset is where the bad field starts: the magic at 0, a truncated
+    field where it begins, an unknown kind at its byte, a count or an
+    arity claiming more than the bytes left after it, trailing bytes
+    where the graph ended. Two offsets differ: a constructor name that
+    is not UTF-8 is reported just past the name, and a reference
+    outside the graph at the end of the input, since references are
+    judged only once every node has decoded. Trailing bytes are
+    rejected so that re-encoding a decoded graph reproduces the input
+    exactly.
     """
-    r = _Reader(data)
-    if r.take(4, "magic") != MAGIC:
-        r.pos = 0
-        raise r.fail("bad magic")
-    root = r.u32("root index")
-    count = r.u32("node count")
+    end = len(data)
+    if end < 4:
+        raise MalformedBytes(0, "truncated magic")
+    if data[:4] != MAGIC:
+        raise MalformedBytes(0, "bad magic")
+    if end < 12:
+        what = "root index" if end < 8 else "node count"
+        raise MalformedBytes(4 if end < 8 else 8, f"truncated {what}")
+    root, count = _HEADER.unpack_from(data, 4)
+    pos = 12
     if count == 0:
-        raise r.fail("empty graph")
+        raise MalformedBytes(pos, "empty graph")
     # Every node occupies at least one byte; reject absurd counts
     # before allocating anything.
-    if count > len(data) - r.pos:
-        raise r.fail("node count exceeds payload size")
+    if count > end - pos:
+        raise MalformedBytes(pos, "node count exceeds payload size")
     if root >= count:
-        raise r.fail(f"root {root} outside graph of {count} nodes")
+        raise MalformedBytes(pos, f"root {root} outside graph of {count} nodes")
     nodes: list = []
+    append = nodes.append
+    bad = None  # the first reference outside the graph
     for _ in range(count):
-        kind = r.u8("node kind")
+        if pos >= end:
+            raise MalformedBytes(pos, "truncated node kind")
+        kind = data[pos]
+        pos += 1
         if kind == 0:
-            nodes.append(Imm(r.i64("immediate")))
-        elif kind == 1:
-            tag = r.u32("block tag")
-            arity = r.u32("block arity")
-            if arity * 4 > len(data) - r.pos:
-                raise r.fail("block arity exceeds payload size")
-            refs = struct.unpack(f"<{arity}I", r.take(arity * 4, "block fields"))
-            nodes.append(Block(tag, refs))
+            if pos + 8 > end:
+                raise MalformedBytes(pos, "truncated immediate")
+            append(Imm(_I64.unpack_from(data, pos)[0]))
+            pos += 8
+        elif kind == 1 or kind == 4:
+            if kind == 1:
+                if pos + 8 > end:
+                    short = pos + 4 > end
+                    raise MalformedBytes(pos if short else pos + 4,
+                                         "truncated block tag" if short else "truncated block arity")
+                head, arity = _HEADER.unpack_from(data, pos)
+                pos += 8
+                what = "block"
+            else:
+                if pos + 2 > end:
+                    raise MalformedBytes(pos, "truncated name length")
+                (name_len,) = _U16.unpack_from(data, pos)
+                pos += 2
+                if pos + name_len > end:
+                    raise MalformedBytes(pos, "truncated constructor name")
+                raw = data[pos : pos + name_len]
+                pos += name_len
+                try:
+                    head = raw.decode("utf-8")
+                except UnicodeDecodeError:
+                    raise MalformedBytes(pos, "constructor name is not UTF-8") from None
+                if pos + 4 > end:
+                    raise MalformedBytes(pos, "truncated constructor arity")
+                (arity,) = _U32.unpack_from(data, pos)
+                pos += 4
+                what = "constructor"
+            if arity * 4 > end - pos:
+                raise MalformedBytes(pos, f"{what} arity exceeds payload size")
+            refs = (_REFS[arity] if arity < len(_REFS)
+                    else struct.Struct(f"<{arity}I")).unpack_from(data, pos)
+            pos += arity * 4
+            # Most nodes have one or two fields: max is a call per node.
+            if arity and (refs[0] >= count or refs[-1] >= count
+                          or arity > 2 and max(refs) >= count) and bad is None:
+                bad = next(r for r in refs if r >= count)
+            append(Block(head, refs) if kind == 1 else ExtCon(head, refs))
         elif kind == 2:
-            length = r.u32("byte length")
-            nodes.append(Bytes(r.take(length, "byte string")))
+            if pos + 4 > end:
+                raise MalformedBytes(pos, "truncated byte length")
+            (length,) = _U32.unpack_from(data, pos)
+            pos += 4
+            if pos + length > end:
+                raise MalformedBytes(pos, "truncated byte string")
+            append(Bytes(data[pos : pos + length]))
+            pos += length
         elif kind == 3:
-            nodes.append(Float(r.f64("float")))
-        elif kind == 4:
-            name_len = r.u16("name length")
-            raw = r.take(name_len, "constructor name")
-            try:
-                name = raw.decode("utf-8")
-            except UnicodeDecodeError:
-                raise r.fail("constructor name is not UTF-8") from None
-            arity = r.u32("constructor arity")
-            if arity * 4 > len(data) - r.pos:
-                raise r.fail("constructor arity exceeds payload size")
-            refs = struct.unpack(
-                f"<{arity}I", r.take(arity * 4, "constructor fields")
-            )
-            nodes.append(ExtCon(name, refs))
+            if pos + 8 > end:
+                raise MalformedBytes(pos, "truncated float")
+            append(Float(_F64.unpack_from(data, pos)[0]))
+            pos += 8
         else:
-            r.pos -= 1
-            raise r.fail(f"unknown node kind {kind}")
-    if r.pos != len(data):
-        raise r.fail("trailing bytes after graph")
-    for node in nodes:
-        for ref in node_refs(node):
-            if ref >= count:
-                raise MalformedBytes(
-                    r.pos, f"node reference {ref} outside graph of {count} nodes"
-                )
+            raise MalformedBytes(pos - 1, f"unknown node kind {kind}")
+    if pos != end:
+        raise MalformedBytes(pos, "trailing bytes after graph")
+    if bad is not None:
+        raise MalformedBytes(pos, f"node reference {bad} outside graph of {count} nodes")
     return ValueGraph(nodes, root)
 
 
@@ -527,6 +551,7 @@ class ConvertState:
 
 
 def _ensure(st: ConvertState, n: int, p: TypePattern) -> None:
+    _check_ref(n, st.graph.nodes)
     key = (n, p)
     if p is ANY or key in st.memo:
         return
@@ -567,7 +592,8 @@ def check_compat(t: TypeRep, g: ValueGraph, root: Optional[int] = None) -> Conve
     """Check that the subgraph at root fits type t, building no value.
 
     Reads each node once per pattern by the pattern's plan. Raises
-    Incompatible, NoDescriptor, or UnknownConstructor on failure;
+    Incompatible, NoDescriptor, or UnknownConstructor on failure, and
+    MalformedValue on a reference that is not an index of g.nodes;
     returns the walk state, whose counters record descents and pattern
     updates per node. Neither serialize nor deserialize runs it; it
     gives a verdict without building a value, and convert starts with
@@ -622,16 +648,27 @@ def convert(
 # Materializing values from graphs
 
 
+# Materializing builds one value per (node, type) pair, and a nested
+# datatype can use one node at a number of types exponential in its
+# depth, so a graph of a few hundred bytes could ask for millions of
+# values. The walk refuses a graph of n nodes past
+# PAIRS_PER_NODE * n + PAIRS_BASE pairs, raising BudgetExceeded.
+PAIRS_PER_NODE = 4
+PAIRS_BASE = 1024
+
+
 class _Materializer:
     def __init__(self, g: ValueGraph):
         self.graph = g
         self.memo: dict[tuple[int, TypeRep], Any] = {}
+        self.budget = PAIRS_PER_NODE * len(g.nodes) + PAIRS_BASE
         # Nodes whose own fields are being built. Keyed by node alone:
         # a cycle can present its node at ever-new types, so a
         # (node, type) marker might never be met again.
         self.building: set[int] = set()
 
     def go(self, p: TypeRep, n: int) -> Any:
+        _check_ref(n, self.graph.nodes)
         key = (n, p)
         if key in self.memo:
             return self.memo[key]
@@ -657,6 +694,11 @@ class _Materializer:
                     raise
             v = make(values)
             self.building.discard(n)
+        if len(self.memo) >= self.budget:
+            raise BudgetExceeded(
+                f"graph of {len(self.graph.nodes)} nodes needs more than "
+                f"{self.budget} (node, type) pairs to materialize"
+            )
         self.memo[key] = v
         return v
 
@@ -672,6 +714,9 @@ def materialize(t: TypeRep, g: ValueGraph, root: Optional[int] = None) -> Any:
     and its uses at different types, which a nested datatype such as
     PolyTree makes, get one object each. Cyclic graphs raise
     CyclicValue: the value layer is immutable and cannot tie knots.
+    A graph that would need more than PAIRS_PER_NODE (node, type)
+    pairs per node plus PAIRS_BASE raises BudgetExceeded, and a
+    reference that is not an index of g.nodes raises MalformedValue.
     """
     start = g.root if root is None else root
     return _walk("graph nests too deeply to materialize", _Materializer(g).go, t, start)
@@ -702,7 +747,8 @@ def deserialize(t: TypeRep, data: bytes) -> Any:
     Malformed bytes raise MalformedBytes with an offset; structurally
     valid graphs of the wrong shape raise Incompatible with a path; a
     representation an abstract type refuses raises
-    RepresentationRejected; a cyclic graph raises CyclicValue. No input
-    crashes the process.
+    RepresentationRejected; a cyclic graph raises CyclicValue; a graph
+    that would build more values than materialize's budget raises
+    BudgetExceeded. No input crashes the process.
     """
     return materialize(t, decode_graph(data))

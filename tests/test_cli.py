@@ -256,6 +256,31 @@ def test_usage_errors_are_exit_1(capsys, list_blob):
         assert e.value.code == 1, argv
 
 
+def test_one_parser_serves_every_call_in_a_process(capsys, tmp_path, list_blob):
+    cli._parser.cache_clear()
+    f = _expr_file(tmp_path, "41")
+    # A flag given to one call does not stick to the next.
+    assert cli.main(["roundtrip", "--type", "Int", "--corrupt", f]) == 3
+    assert cli.main(["roundtrip", "--type", "Int", f]) == 0
+    # Nor does a usage error spoil it.
+    with pytest.raises(SystemExit) as e:
+        cli.main(["validate", list_blob])
+    assert e.value.code == 1
+    assert cli.main(["validate", "--type", "List(Int)", list_blob]) == 0
+    assert capsys.readouterr().out == "roundtrip mismatch\nroundtrip ok\ncompatible\n"
+    assert cli._parser.cache_info().misses == 1
+
+
+def test_pass_choices_are_the_passes(capsys, tmp_path):
+    f = _expr_file(tmp_path, "(cst 1)")
+    with pytest.raises(SystemExit):
+        cli.main(["demo-expr", "--pass", "nonsense", f])
+    choices = ", ".join(map(repr, cli.PASSES))
+    assert f"invalid choice: 'nonsense' (choose from {choices})" in capsys.readouterr().err
+    for name in cli.PASSES:
+        assert cli.main(["demo-expr", "--pass", name, f]) == 0, name
+
+
 def _child_env():
     # The child interpreter imports reflectix from where this one did,
     # whether or not PYTHONPATH was set for the test run.

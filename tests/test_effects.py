@@ -68,6 +68,24 @@ def test_traverse_list_effect_order():
     assert fx.run_state(out, 0) == ([("a", 0), ("b", 1), ("c", 2)], 3)
 
 
+def test_traverse_is_linear_in_the_list():
+    n = 10**5
+    m = fx.state_monad()
+    tick = fx.Effectful(fx.STATE, lambda s: (s, s + 1))
+    start = perf_counter()
+    prog = fx.traverseM(m, lambda x: tick, range(n))
+    assert fx.run_state(prog, 7) == (list(range(7, n + 7)), n + 7)
+    assert perf_counter() - start < 1.0
+    # The results are chained, not built in place, so a second run of
+    # the same computation starts from nothing.
+    assert fx.run_state(prog, 0)[0][:3] == [0, 1, 2]
+    i = fx.identity_monad()
+    assert fx.run_identity(fx.traverseM(i, lambda x: i.pure(-x), range(n)))[-1] == 1 - n
+    a = fx.const_applicative(fx.sum_monoid)
+    assert fx.get_const(fx.traverse_list(a, lambda x: fx.Effectful(a.brand, x), range(n))) \
+        == n * (n - 1) // 2
+
+
 def test_sequence_monadic():
     m = fx.state_monad()
     assert fx.run_state(fx.sequenceM(m, [fx.incr(), fx.incr()]), 0) == (

@@ -12,6 +12,7 @@ import random
 import struct
 import time
 import tracemalloc
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,7 @@ from reflectix import generics as g
 from reflectix import prelude as pl
 from reflectix import safeser as ss
 from reflectix.errors import (
+    BudgetExceeded,
     CyclicValue,
     DepthLimitExceeded,
     Incompatible,
@@ -393,6 +395,76 @@ def test_refusing_a_huge_expected_type_gives_a_short_message():
         assert e.value.found == "Float"
 
 
+# The nested datatype T a = L Int | N (T (Pair a Int)) (T (Pair Int a)).
+# Its dag(k) nodes each hold the node below twice, and the node at depth
+# j is used at 2^j distinct types: a few hundred bytes that would ask
+# materialize for millions of values.
+Nested = declare("NestedDemo", 1, ("tests",))
+
+
+@dataclass(frozen=True)
+class NestedLeaf:
+    n: int
+
+
+@dataclass(frozen=True)
+class NestedNode:
+    left: object
+    right: object
+
+
+d.register(Nested, lambda a: d.VariantDesc(
+    "NestedDemo",
+    ("tests",),
+    (
+        d.class_constructor(NestedLeaf, (("n", Int),), name="L"),
+        d.class_constructor(
+            NestedNode,
+            (("left", Nested(Pair(a, Int))), ("right", Nested(Pair(Int, a)))),
+            name="N",
+        ),
+    ),
+    d.classify_by_class("NestedDemo", {NestedLeaf: ("ncst", 0), NestedNode: ("ncst", 1)}),
+))
+
+
+def test_materialize_budget_refuses_a_small_exponential_graph(tmp_path, capsys):
+    graph = _poly_dag(20)  # the same node layout at the nested type
+    data = ss.encode_graph(graph)
+    assert len(data) == 374
+    budget = ss.PAIRS_PER_NODE * len(graph.nodes) + ss.PAIRS_BASE
+    path = tmp_path / "dag20.bin"
+    path.write_bytes(data)
+    runs = {
+        "deserialize": lambda: ss.deserialize(Nested(Int), data),
+        "materialize": lambda: ss.materialize(Nested(Int), graph),
+    }
+    for name, run in runs.items():
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded) as e:
+            run()
+        assert time.perf_counter() - start < 0.5, name
+        assert str(e.value).endswith(
+            f"graph of 22 nodes needs more than {budget} (node, type) pairs to materialize"
+        )
+        gc.collect()
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded):
+                run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000, name
+    start = time.perf_counter()
+    assert cli.main(["validate", "--type", "NestedDemo(Int)", str(path)]) == 9
+    assert time.perf_counter() - start < 0.5
+    assert "needs more than" in capsys.readouterr().err
+    # Small depths stay within the budget and read back.
+    small = ss.deserialize(Nested(Int), ss.encode_graph(_poly_dag(6)))
+    assert isinstance(small, NestedNode)
+
+
 def test_materialize_gives_one_object_per_node_and_type():
     # Uses of a node at one type share one object...
     t = Pair(List(Int), List(Int))
@@ -628,6 +700,27 @@ def test_read_rules_refuse_payloads_decode_graph_never_builds():
         for t in (List(Int), Pair(Int, Int), Expr, Array(Int)):
             with pytest.raises(Incompatible, match=r"found Block\(tag=0, fields=5\)"):
                 walk(t, block)
+
+
+@pytest.mark.parametrize(
+    "graph, ref",
+    [
+        (ss.ValueGraph([ss.Block(0, (5, 0))], 0), "5"),
+        (ss.ValueGraph([ss.Block(0, ("a", 0))], 0), "a"),
+        # A negative reference would index from the end and read node 0
+        # as the head.
+        (ss.ValueGraph([ss.Imm(3), ss.Block(0, (-2, 1))], 1), "-2"),
+    ],
+    ids=["past-the-end", "not-an-int", "negative"],
+)
+def test_walks_refuse_references_outside_a_hand_built_graph(graph, ref):
+    n = len(graph.nodes)
+    for walk in (ss.materialize, ss.check_compat):
+        with pytest.raises(MalformedValue) as e:
+            walk(List(Int), graph)
+        assert str(e.value) == f"at root.0: node reference {ref} outside graph of {n} nodes"
+    with pytest.raises(MalformedValue, match="^at root: node reference 7 outside"):
+        ss.materialize(List(Int), graph, 7)
 
 
 # ---------------------------------------------------------------------------
