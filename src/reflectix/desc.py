@@ -22,6 +22,7 @@ import functools
 import reprlib
 import threading
 from dataclasses import dataclass, field, fields as dc_fields, is_dataclass
+from operator import attrgetter
 from typing import Any, Callable, Optional, Sequence
 
 from .errors import (
@@ -83,7 +84,7 @@ class Constructor:
         return f"<constructor {self.name}/{self.arity}>"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConApp:
     """A value split into its constructor and argument tuple."""
 
@@ -113,8 +114,9 @@ class VariantDesc(Desc):
 
     Constant (arity 0) and non-constant constructors are indexed by
     separate dense tag tables in declaration order. classify maps a
-    value to its (kind, tag) in constant time, which keeps conap free
-    of projection scans.
+    value to its (kind, tag) in constant time, and _entries maps each
+    such pair to its constructor, which keeps conap free of projection
+    scans.
     """
 
     name: str
@@ -123,14 +125,14 @@ class VariantDesc(Desc):
     classify: Callable[[Any], tuple[str, int]]
     cst: tuple[Constructor, ...] = field(init=False)
     ncst: tuple[Constructor, ...] = field(init=False)
+    _entries: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "cst", tuple(c for c in self.cons if c.arity == 0)
-        )
-        object.__setattr__(
-            self, "ncst", tuple(c for c in self.cons if c.arity > 0)
-        )
+        groups = {"cst": tuple(c for c in self.cons if c.arity == 0),
+                  "ncst": tuple(c for c in self.cons if c.arity > 0)}
+        entries = {(k, i): c for k, g in groups.items() for i, c in enumerate(g)}
+        for name, value in (*groups.items(), ("_entries", entries)):
+            object.__setattr__(self, name, value)
 
     @property
     def cst_len(self) -> int:
@@ -426,7 +428,7 @@ def conap(dd: Desc, x: Any) -> ConApp:
 
     The one way to take a value apart, for variant, extensible, record
     and bare product descriptors. Runs in constant time: a variant's
-    classify yields the tag and the tag indexes the constructor table;
+    classify yields the (kind, tag) its table maps to the constructor;
     an extensible value names its constructor, which is looked up in
     the registry; a record or product has one constructor. That
     constructor's proj then extracts the arguments. A value outside
@@ -443,8 +445,11 @@ def conap(dd: Desc, x: Any) -> ConApp:
     ConApp(con=<constructor Pair/2>, args=(1, 2))
     """
     if isinstance(dd, VariantDesc):
-        kind, tag = dd.classify(x)
-        con = dd.cst_get(tag) if kind == "cst" else dd.ncst_get(tag)
+        entry = dd.classify(x)
+        con = dd._entries.get(entry)
+        if con is None:
+            kind, tag = entry
+            con = dd.cst_get(tag) if kind == "cst" else dd.ncst_get(tag)
     elif isinstance(dd, (RecordDesc, ProductDesc)):
         con = dd.con
     elif isinstance(dd, ExtensibleDesc):
@@ -562,14 +567,18 @@ def class_constructor(
     """
     fields = tuple(Field("", ty) for _, ty in field_specs)
     names = [fname for fname, _ in field_specs]
+    # attrgetter gives a bare value for one name, and needs at least one.
+    if len(names) == 1:
+        one = attrgetter(names[0])
+        get: Callable[[Any], tuple] = lambda v: (one(v),)
+    else:
+        get = attrgetter(*names) if names else lambda v: ()
 
     def embed(args: Sequence[Any]) -> Any:
         return cls(*args)
 
     def proj(v: Any) -> Optional[tuple]:
-        if type(v) is cls:
-            return tuple(getattr(v, fname) for fname in names)
-        return None
+        return get(v) if type(v) is cls else None
 
     return Constructor(name or cls.__name__, fields, embed, proj)
 

@@ -6,8 +6,10 @@ stock interpreters are identity (plain values), const (accumulate a
 monoid, ignore results), reader, state, and a deferred-thunk io.
 Reader, state and io computations are data, each a primitive step or a
 bind, and one loop runs all three with its pending continuations on a
-list, so running a computation nests no Python frames. Combining values
-of different brands raises BrandMismatch instead of producing nonsense.
+list, so running a computation nests no Python frames. The monadic
+traversals, here and in uniplate and multiplate, bind each element's or
+child's computation once, left to right. Combining values of different
+brands raises BrandMismatch instead of producing nonsense.
 """
 
 from __future__ import annotations
@@ -143,11 +145,22 @@ def sequence_list(a: ApplicativeDict, xs: list) -> Any:
     return traverse_list(a, lambda v: v, xs)
 
 
-# traverseM binds the computations in runs of _CHUNK, each run nested to
-# the right as it goes and the runs chained to the left. A lazy monad's
-# bind (reader, state, io) returns at once, so a run's steps are built
-# only as the run reaches them; an eager one's (identity's) calls on at
-# once, nesting three frames per step, so at most _CHUNK steps deep.
+def _bind_all(m: MonadDict, ms: list, k: Callable[[tuple], Any]) -> Any:
+    """Bind each computation in ms once, left to right, then continue with
+    k on the tuple of their results; with none, k runs at once. Each
+    continuation extends its own tuple, so two runs share nothing."""
+    run = k
+    for mx in reversed(ms):  # each run binds its mx, then calls the next
+        def run(done: tuple, mx: Any = mx, then: Callable = run) -> Any:
+            return m.bind(mx, lambda y: then(done + (y,)))
+
+    return run(())
+
+
+# traverseM binds a longer list in runs of _CHUNK chained to the left. A
+# lazy monad's bind (reader, state, io) returns at once, so a run's steps
+# are built only as the run reaches them; an eager one's (identity's)
+# nests three frames per step, so at most _CHUNK steps deep.
 _CHUNK = 32
 
 
@@ -156,21 +169,16 @@ def traverseM(m: MonadDict, f: Callable[[Any], Any], xs: list) -> Any:
     app_of_mon's liftA2 would take four; f still runs on every element
     before any effect does."""
     fxs = [f(x) for x in xs]
+    if len(fxs) <= _CHUNK:
+        return _bind_all(m, fxs, lambda ys: m.pure(list(ys)))
 
-    def run(lo: int, done: Any) -> Any:
-        hi = min(lo + _CHUNK, len(fxs))
-
-        def step(i: int, done: Any) -> Any:
-            if i == hi:
-                return m.pure(done)
-            return m.bind(fxs[i], lambda y: step(i + 1, (y, done)))
-
-        return step(lo, done)
+    def run(chunk: list, done: Any) -> Any:
+        return _bind_all(m, chunk, lambda ys: m.pure((ys, done)))
 
     acc = m.pure(None)
     for lo in range(0, len(fxs), _CHUNK):
-        acc = m.bind(acc, partial(run, lo))
-    return m.bind(acc, lambda chain: m.pure(_chain_list(chain)))
+        acc = m.bind(acc, partial(run, fxs[lo : lo + _CHUNK]))
+    return m.bind(acc, lambda runs: m.pure([y for ys in _chain_list(runs) for y in ys]))
 
 
 def sequenceM(m: MonadDict, xs: list) -> Any:

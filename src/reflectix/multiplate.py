@@ -21,7 +21,7 @@ from .effects import (
     Effectful,
     MonadDict,
     MonoidDict,
-    app_of_mon,
+    _bind_all,
     const_applicative,
     fmap,
     get_const,
@@ -145,12 +145,13 @@ def fold_children_p(m: MonoidDict, p: ConstPlate) -> ConstPlate:
 
 
 def traverse_family_p(m: MonadDict, p: Plate) -> Plate:
-    """Apply p to every node of every reachable type, bottom up."""
-    a = app_of_mon(m)
+    """Apply p to every node of every reachable type, bottom up, binding
+    each argument's computation once, left to right."""
 
     def run(t: TypeRep, x: Any) -> Any:
-        inner = traverse_children_p(a, Plate(run)).run(t, x)
-        return m.bind(inner, lambda y: p.run(t, y))
+        s = scrap_m(t, x)
+        kids = [run(r, v) for r, v in zip(s.reps, s.values)]
+        return _bind_all(m, kids, lambda ys: p.run(t, s.rebuild(ys)))
 
     return Plate(run)
 

@@ -226,8 +226,13 @@ def decode_graph(data: bytes) -> ValueGraph:
     outside the graph at the end of the input, since references are
     judged only once every node has decoded. Trailing bytes are
     rejected so that re-encoding a decoded graph reproduces the input
-    exactly.
+    exactly. Other bytes-like input is copied, anything else refused.
     """
+    if type(data) is not bytes:
+        try:
+            data = bytes(memoryview(data))
+        except TypeError:
+            raise MalformedBytes(0, f"not bytes-like: {type(data).__name__}") from None
     end = len(data)
     if end < 4:
         raise MalformedBytes(0, "truncated magic")

@@ -1,10 +1,11 @@
 """Uniform traversals over same-typed children.
 
 scrap splits a value into its same-typed immediate children plus a
-rebuild function; everything else here is folds, maps, and rewrites
-layered on top of it. Children are the constructor arguments whose
-type equals the parent type, in declaration order, so for lists the
-only child of x :: xs is xs.
+rebuild function; the folds, maps and rewrites here take values apart
+the same way without building one. Children are the constructor
+arguments whose type equals the parent type, in declaration order, so
+for lists the only child of x :: xs is xs. The effectful traversals
+bind each child's computation once, left to right.
 
 >>> from .typerep import Int, List
 >>> children(List(Int), [1, 2, 3])
@@ -16,13 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
-from .effects import (
-    ApplicativeDict,
-    MonadDict,
-    app_of_mon,
-    fmap,
-    traverse_list,
-)
+from .effects import ApplicativeDict, MonadDict, _bind_all, fmap, traverse_list
 from .desc import conap
 from .errors import ArityMismatch, DepthLimitExceeded, FuelExhausted
 from .typerep import TypeRep
@@ -39,6 +34,23 @@ class Scrap:
     rebuild: Callable[[Sequence[Any]], Any]
 
 
+def _split(t: TypeRep, x: Any) -> Optional[tuple]:
+    """x's constructor, arguments and child positions; None for a leaf type."""
+    _, dd, _, table = closed(t)
+    if dd is None:
+        return None
+    ca = conap(dd, x)
+    return ca.con, ca.args, table[id(ca.con)].positions
+
+
+def _rebuild(con: Any, args: tuple, positions: tuple, new: Sequence[Any]) -> Any:
+    """con applied to args with the children at positions replaced."""
+    vals = list(args)
+    for i, v in zip(positions, new):
+        vals[i] = v
+    return con.embed(vals)
+
+
 def scrap(t: TypeRep, x: Any) -> Scrap:
     """Split x into children and rebuild.
 
@@ -48,18 +60,15 @@ def scrap(t: TypeRep, x: Any) -> Scrap:
     Which arguments are children is planned once per type; the plan
     shares the descriptor cache's bound and invalidation.
     """
-    _, dd, _, table = closed(t)
-    if dd is None:
+    parts = _split(t, x)
+    if parts is None:
         def rebuild_leaf(new: Sequence[Any]) -> Any:
             if len(new) != 0:
                 raise ArityMismatch("leaf rebuild expects no children")
             return x
 
         return Scrap([], rebuild_leaf)
-    ca = conap(dd, x)
-    con = ca.con
-    flat = ca.args
-    positions = table[id(con)].positions
+    con, flat, positions = parts
 
     def rebuild(new: Sequence[Any]) -> Any:
         if len(new) != len(positions):
@@ -67,17 +76,15 @@ def scrap(t: TypeRep, x: Any) -> Scrap:
                 f"{con.name} rebuild expects {len(positions)} children, "
                 f"got {len(new)}"
             )
-        vals = list(flat)
-        for i, v in zip(positions, new):
-            vals[i] = v
-        return con.embed(vals)
+        return _rebuild(con, flat, positions, new)
 
     return Scrap([flat[i] for i in positions], rebuild)
 
 
 def children(t: TypeRep, x: Any) -> list:
     """Immediate same-typed subvalues of x."""
-    return scrap(t, x).children
+    parts = _split(t, x)
+    return [] if parts is None else [parts[1][i] for i in parts[2]]
 
 
 def replace_children(t: TypeRep, x: Any, new: Sequence[Any]) -> Any:
@@ -98,8 +105,11 @@ def family(t: TypeRep, x: Any) -> list:
 
 def map_children(t: TypeRep, f: Callable[[Any], Any], x: Any) -> Any:
     """Apply f to each immediate child."""
-    s = scrap(t, x)
-    return s.rebuild([f(c) for c in s.children])
+    parts = _split(t, x)
+    if parts is None:
+        return x
+    con, args, positions = parts
+    return _rebuild(con, args, positions, [f(args[i]) for i in positions])
 
 
 def map_family(t: TypeRep, f: Callable[[Any], Any], x: Any) -> Any:
@@ -161,12 +171,19 @@ def traverse_children(
 def traverse_family(
     m: MonadDict, t: TypeRep, f: Callable[[Any], Any], x: Any
 ) -> Any:
-    """Effectful bottom-up map over the whole family.
+    """Effectful bottom-up map over the whole family, binding each
+    child's computation once, left to right, then f on the rebuilt node.
     Raises DepthLimitExceeded when x nests too deeply to recurse over."""
-    a = app_of_mon(m)
 
     def go(y: Any) -> Any:
-        return m.bind(traverse_children(a, t, go, y), f)
+        parts = _split(t, y)
+        if parts is None:
+            return f(y)
+        con, args, positions = parts
+        kids = []
+        for i in positions:
+            kids.append(go(args[i]))
+        return _bind_all(m, kids, lambda new: f(_rebuild(con, args, positions, new)))
 
     try:
         return go(x)

@@ -1,5 +1,6 @@
 """Descriptors: products, constructors, registries, representations."""
 
+import dataclasses
 import gc
 import random
 import tracemalloc
@@ -182,6 +183,23 @@ def test_conap_without_scanning():
     )
     d.conap(v, (1, 42))
     assert calls == {"a": 0, "b": 1}
+
+
+def test_conap_keeps_every_refusal_and_message():
+    expr = d.view_desc(Expr)
+    past_the_table = dataclasses.replace(expr, classify=lambda x: ("ncst", 6))
+    with pytest.raises(IndexOutOfRange, match="^non-constant tag 6 of Expr$"):
+        d.conap(past_the_table, Cst(1))
+    no_constants = dataclasses.replace(expr, classify=lambda x: ("cst", 0))
+    with pytest.raises(IndexOutOfRange, match="^constant tag 0 of Expr$"):
+        d.conap(no_constants, Cst(1))
+    with pytest.raises(MalformedValue, match="^not a Expr value: 5$"):
+        d.conap(expr, 5)
+    # classify names Neg, whose proj refuses a Cst.
+    misclassified = dataclasses.replace(expr, classify=lambda x: ("ncst", 1))
+    with pytest.raises(MalformedValue, match=r"^not a Neg value: Cst\(value=3\)$"):
+        d.conap(misclassified, Cst(3))
+    assert d.conap(expr, Neg(Cst(3))).args == (Cst(3),)
 
 
 def test_variant_dense_tags_in_declaration_order():

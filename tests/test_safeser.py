@@ -603,6 +603,19 @@ def test_deserialize_wrong_type_is_incompatible():
         ss.deserialize(pl.Rtree(Int), b)
 
 
+def test_deserialize_takes_any_bytes_like_input_and_refuses_the_rest():
+    text = ss.serialize(String, "hi")
+    exn = ss.serialize(pl.Exn, pl.failure("boom"))
+    for wrap in (bytearray, memoryview):
+        assert ss.deserialize(String, wrap(text)) == "hi"
+        assert ss.deserialize(pl.Exn, wrap(exn)) == pl.failure("boom")
+    for data, name in ((5, "int"), (None, "NoneType")):
+        with pytest.raises(MalformedBytes) as e:
+            ss.deserialize(Int, data)
+        assert e.value.offset == 0
+        assert str(e.value) == f"malformed bytes at offset 0: not bytes-like: {name}"
+
+
 def test_nat_rejects_negative_payload():
     b = ss.encode_graph(ss.ValueGraph([ss.Imm(-1)], 0))
     with pytest.raises(RepresentationRejected):

@@ -1,10 +1,13 @@
 """Same-typed traversals: scrap, family, rewriting, effectful variants."""
 
+import dataclasses
+import itertools
 import random
 
 import pytest
 
 from reflectix import effects as fx
+from reflectix import multiplate as mp
 from reflectix import prelude as pl
 from reflectix import uniplate as up
 from reflectix.errors import ArityMismatch, DepthLimitExceeded, FuelExhausted
@@ -23,7 +26,7 @@ from reflectix.exprlang import (
 )
 from reflectix.typerep import Int, List, render
 
-from conftest import TYPED_GENERATORS
+from conftest import TYPED_GENERATORS, gen_btree, gen_expr, gen_rtree
 
 
 def test_children_of_list():
@@ -190,6 +193,77 @@ def test_traverse_family_under_identity_is_map_family():
                 up.traverse_family(m, t, lambda v: m.pure(v), x)
             )
             assert got == x, render(t)
+
+
+@pytest.mark.parametrize("t, gen", [(pl.Btree(Int), gen_btree), (Expr, gen_expr)])
+def test_traverse_family_binds_once_per_child(t, gen):
+    inner = fx.state_monad()
+    binds = []
+
+    def counting(v, k):
+        binds.append(v)
+        return inner.bind(v, k)
+
+    m = dataclasses.replace(inner, bind=counting)
+    rng = random.Random(24)
+    for _ in range(10):
+        x = gen(rng, 5)
+        binds.clear()
+        out = up.traverse_family(m, t, m.pure, x)
+        assert fx.run_state(out, 0)[0] == x
+        assert len(binds) == len(up.family(t, x)) - 1
+        binds.clear()
+        out = mp.traverse_family_p(m, mp.pure_plate(m)).run(t, x)
+        assert fx.run_state(out, 0)[0] == x
+        assert len(binds) == len(mp.family_dyn(t, x)) - 1
+
+
+def _postorder(t, x):
+    return [y for c in up.children(t, x) for y in _postorder(t, c)] + [x]
+
+
+def _numbering(kind):
+    """A monad, an f that numbers each node it sees x0, x1, ... through
+    that monad's effect and logs the name with the node, the runner,
+    and the log."""
+    log = []
+    if kind == "state":
+        m = fx.state_monad()
+
+        def f(v):
+            return m.bind(fx.incr(), lambda i: m.pure(log.append((f"x{i}", v)) or v))
+
+        return m, f, lambda c: fx.run_state(c, 0)[0], log
+    counter = itertools.count()
+
+    def note(v):
+        log.append((f"x{next(counter)}", v))
+
+    if kind == "identity":
+        m = fx.identity_monad()
+        return m, lambda v: m.pure(note(v) or v), fx.run_identity, log
+    m = fx.io_monad()
+
+    def f(v):
+        return m.bind(fx.embed_io(lambda: note(v)), lambda _: m.pure(v))
+
+    return m, f, fx.run_io, log
+
+
+@pytest.mark.parametrize("kind", ["identity", "state", "io"])
+@pytest.mark.parametrize(
+    "t, gen", [(pl.Btree(Int), gen_btree), (pl.Rtree(Int), gen_rtree), (Expr, gen_expr)]
+)
+def test_traverse_family_numbers_nodes_bottom_up_left_to_right(kind, t, gen):
+    rng = random.Random(25)
+    for _ in range(10):
+        x = gen(rng, 4)
+        m, f, run, log = _numbering(kind)
+        c = up.traverse_family(m, t, f, x)
+        if kind != "identity":
+            assert log == []  # no effect runs before the run
+        assert run(c) == x
+        assert log == [(f"x{i}", v) for i, v in enumerate(_postorder(t, x))]
 
 
 def test_mreduce_family_matches_reduce_family():
