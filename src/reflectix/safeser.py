@@ -231,7 +231,7 @@ def decode_graph(data: bytes) -> ValueGraph:
     if type(data) is not bytes:
         try:
             data = bytes(memoryview(data))
-        except TypeError:
+        except (TypeError, ValueError):  # ValueError: a released memoryview
             raise MalformedBytes(0, f"not bytes-like: {type(data).__name__}") from None
     end = len(data)
     if end < 4:

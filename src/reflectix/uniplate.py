@@ -181,7 +181,7 @@ def traverse_family(
             return f(y)
         con, args, positions = parts
         kids = []
-        for i in positions:
+        for i in positions:  # a loop, so one Python frame per level
             kids.append(go(args[i]))
         return _bind_all(m, kids, lambda new: f(_rebuild(con, args, positions, new)))
 

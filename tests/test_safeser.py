@@ -609,7 +609,9 @@ def test_deserialize_takes_any_bytes_like_input_and_refuses_the_rest():
     for wrap in (bytearray, memoryview):
         assert ss.deserialize(String, wrap(text)) == "hi"
         assert ss.deserialize(pl.Exn, wrap(exn)) == pl.failure("boom")
-    for data, name in ((5, "int"), (None, "NoneType")):
+    released = memoryview(text)
+    released.release()
+    for data, name in ((5, "int"), (None, "NoneType"), (released, "memoryview")):
         with pytest.raises(MalformedBytes) as e:
             ss.deserialize(Int, data)
         assert e.value.offset == 0
