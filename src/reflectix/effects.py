@@ -299,11 +299,8 @@ def put_state(s1: Any) -> Effectful:
 
 
 def incr() -> Effectful:
-    """Return the counter and bump it by one."""
-    m = state_monad()
-    return m.bind(
-        get_state(), lambda i: m.bind(put_state(i + 1), lambda _: m.pure(i))
-    )
+    """Return the counter and bump it by one, in one primitive step."""
+    return Effectful(STATE, lambda i: (i, i + 1))
 
 
 def run_state(v: Any, s0: Any) -> tuple:

@@ -1,7 +1,8 @@
 """Generic functions written once against the views.
 
 show renders values in constructor syntax, equal compares structurally
-through the sum-of-products view, and the three children functions
+through the constructor table the other walkers read (views.closed),
+and the three children functions
 enumerate same-typed immediate subvalues through three different views.
 All of them work on any registered type without per-type code.
 """
@@ -13,7 +14,6 @@ from typing import Any, Callable
 
 from . import extfun
 from .desc import (
-    NO_DESC,
     AbstractDesc,
     ArrayLikeDesc,
     ExtensibleDesc,
@@ -30,7 +30,7 @@ from .desc import (
     try_repr,
     view_desc,
 )
-from .errors import DepthLimitExceeded, MalformedValue, NotSupported, NoView
+from .errors import DepthLimitExceeded, MalformedValue, NotSupported
 from .typerep import (
     ANY,
     Char,
@@ -48,14 +48,13 @@ from .views import (
     Base,
     Con,
     Delay,
-    EMPTY,
     FieldTag,
     IsoSP,
     Left,
     Prod,
     Right,
     Sum,
-    UNIT,
+    closed,
     spine,
     split,
     sumprod,
@@ -146,11 +145,13 @@ _TOO_DEEP = "values nest too deeply to compare"
 
 
 def equal(t: TypeRep, x: Any, y: Any) -> bool:
-    """Structural equality at type t via the sum-of-products view.
+    """Structural equality at type t, one level at a time.
 
-    Each value is compared one level at a time by a plan compiled once
-    per type from sumprod(t). A plan stops at every delayed argument
-    and hands it back as (type, x, y); equal keeps those on a stack of
+    Each level is compared by a plan built once per type from the
+    constructor table the other walkers read (views.closed): a variant,
+    record or bare product splits both values with conap and compares
+    their constructors by identity. A plan hands back every argument
+    still to compare as (type, x, y); equal keeps those on a stack of
     levels, in preorder, and finds each one's plan through the same
     per-type memo, which shares the descriptor cache's bound and
     invalidation. Raises DepthLimitExceeded when x or y nests more
@@ -179,89 +180,20 @@ def equal(t: TypeRep, x: Any, y: Any) -> bool:
 
 
 # A plan step compares what one level of two values holds in place and
-# appends each delayed argument as (type, x, y); False when they differ.
+# appends each argument still to compare as (type, x, y); False when
+# they differ.
 Step = Callable[[Any, Any, list], bool]
 
 
 @staged
 def _equal_plan(t: TypeRep) -> Step:
-    try:
-        sp = sumprod(t)
-    except NoView:
-        raise NotSupported("equal", brief(t)) from None
-    return _compile(sp)
-
-
-def _compile(sp: Any) -> Step:
-    if isinstance(sp, IsoSP):
-        inner, bck = _compile(sp.inner), sp.bck
-        return lambda x, y, below: inner(bck(x), bck(y), below)
-    if isinstance(sp, Sum):
-        return _compile_sum(sp)
-    if isinstance(sp, Prod):
-        return _compile_prod(sp)
-    if isinstance(sp, (Con, FieldTag)):
-        return _compile(sp.inner)
-    if isinstance(sp, Delay):
-        rep = sp.rep
-        return lambda x, y, below: below.append((rep, x, y)) or True
-    if sp is UNIT or sp is EMPTY:
-        return _same_unit
-    if isinstance(sp, Base):
-        return _compile_base(sp.rep)
-    raise NotSupported("equal", repr(sp))
-
-
-def _same_unit(x: Any, y: Any, below: list) -> bool:
-    return True
-
-
-def _compile_sum(sp: Sum) -> Step:
-    """A right-nested sum compared in one loop over its branches."""
-    branches = []
-    while isinstance(sp, Sum):
-        branches.append(_compile(sp.left))
-        sp = sp.right
-    last = _compile(sp)
-
-    def same_sum(x: Any, y: Any, below: list) -> bool:
-        for branch in branches:
-            if isinstance(x, Left):
-                return isinstance(y, Left) and branch(x.value, y.value, below)
-            if not (isinstance(x, Right) and isinstance(y, Right)):
-                return False
-            x, y = x.value, y.value
-        return last(x, y, below)
-
-    return same_sum
-
-
-def _compile_prod(sp: Prod) -> Step:
-    """A right-nested product compared in one loop over its items. A
-    delayed item is kept as its type and handed back directly."""
-    items: list = []
-    while isinstance(sp, Prod):
-        item = sp.left
-        while isinstance(item, FieldTag):
-            item = item.inner
-        items.append(item.rep if isinstance(item, Delay) else _compile(item))
-        sp = sp.right
-    last = _compile(sp)
-
-    def same_prod(x: Any, y: Any, below: list) -> bool:
-        for item in items:
-            if isinstance(item, TypeRep):
-                below.append((item, x[0], y[0]))
-            elif not item(x[0], y[0], below):
-                return False
-            x, y = x[1], y[1]
-        return last(x, y, below)
-
-    return same_prod
-
-
-def _compile_base(t: TypeRep) -> Step:
-    dd = view_desc(t)
+    u, dd, _, table = closed(t)
+    if dd is not None:
+        return _same_con(dd, lambda con: table[id(con)].tys)
+    dd = view_desc(u)
+    if isinstance(dd, ExtensibleDesc):
+        # Matched by registered name: conap looks the constructor up.
+        return _same_con(dd, lambda con: (f.ty for f in con.fields))
     if isinstance(dd, ScalarDesc):
         kind = dd.kind
         return lambda x, y, below: check_leaf(kind, x) == check_leaf(kind, y)
@@ -276,18 +208,27 @@ def _compile_base(t: TypeRep) -> Step:
             return True
 
         return same_array
-    if isinstance(dd, ExtensibleDesc):
+    if isinstance(dd, AbstractDesc):
+        rep = try_repr(u)
+        if rep is None:  # no representation: the host equality decides
+            return lambda x, y, below: x == y
+        rty, to_repr = rep.repr_ty, rep.to_repr
+        return lambda x, y, below: below.append((rty, to_repr(x), to_repr(y))) or True
+    raise NotSupported("equal", brief(u))
 
-        def same_ext(x: Any, y: Any, below: list) -> bool:
-            cx, cy = conap(dd, x), conap(dd, y)
-            if cx.con is not cy.con:
-                return False
-            below.extend(zip((f.ty for f in cx.con.fields), cx.args, cy.args))
-            return True
 
-        return same_ext
-    # Representation-less abstract types fall back to the host equality.
-    return lambda x, y, below: x == y
+def _same_con(dd: Any, tys: Callable[[Any], Any]) -> Step:
+    """Both values split with conap, the left first; equal constructors
+    hand back each argument pair with its type, tys(constructor)."""
+
+    def same_con(x: Any, y: Any, below: list) -> bool:
+        cx, cy = conap(dd, x), conap(dd, y)
+        if cx.con is not cy.con:
+            return False
+        below.extend(zip(tys(cx.con), cx.args, cy.args))
+        return True
+
+    return same_con
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from .effects import (
     traverse_list,
 )
 from .desc import conap
-from .errors import ArityMismatch
+from .errors import ArityMismatch, DepthLimitExceeded
 from .typerep import Dyn, TypeRep
 from .views import closed
 
@@ -153,7 +153,7 @@ def traverse_family_p(m: MonadDict, p: Plate) -> Plate:
         kids = [run(r, v) for r, v in zip(s.reps, s.values)]
         return _bind_all(m, kids, lambda ys: p.run(t, s.rebuild(ys)))
 
-    return Plate(run)
+    return Plate(_guarded(run, "traverse"))
 
 
 def map_family_p(p: IdPlate) -> IdPlate:
@@ -170,7 +170,7 @@ def pre_fold_p(m: MonoidDict, p: ConstPlate) -> ConstPlate:
         below = fold_children_p(m, ConstPlate(run)).run(t, x)
         return m.combine(p.run(t, x), below)
 
-    return ConstPlate(run)
+    return ConstPlate(_guarded(run, "fold"))
 
 
 def post_fold_p(m: MonoidDict, p: ConstPlate) -> ConstPlate:
@@ -180,7 +180,7 @@ def post_fold_p(m: MonoidDict, p: ConstPlate) -> ConstPlate:
         below = fold_children_p(m, ConstPlate(run)).run(t, x)
         return m.combine(below, p.run(t, x))
 
-    return ConstPlate(run)
+    return ConstPlate(_guarded(run, "fold"))
 
 
 def para_p(step: ConstPlate) -> ConstPlate:
@@ -191,7 +191,21 @@ def para_p(step: ConstPlate) -> ConstPlate:
         rs = [run(r, v) for r, v in zip(s.reps, s.values)]
         return step.run(t, x)(rs)
 
-    return ConstPlate(run)
+    return ConstPlate(_guarded(run, "fold"))
+
+
+def _guarded(run: Callable[[TypeRep, Any], Any], what: str) -> Callable:
+    """run as a walk's entry point: a RecursionError becomes
+    DepthLimitExceeded. The walk recurses through run itself, so no
+    level pays for the guard."""
+
+    def entry(t: TypeRep, x: Any) -> Any:
+        try:
+            return run(t, x)
+        except RecursionError:
+            raise DepthLimitExceeded(f"value nests too deeply to {what}") from None
+
+    return entry
 
 
 def children_dyn(t: TypeRep, x: Any) -> list[Dyn]:
@@ -224,8 +238,17 @@ class OpenRec:
 
 
 def tie(r: OpenRec) -> Plate:
-    """Close an open recursion into a runnable plate, lazily."""
-    return Plate(lambda t, x: r.run(r).run(t, x))
+    """Close an open recursion into a runnable plate, lazily. Every
+    level recurses through a tied plate, which turns a RecursionError
+    into DepthLimitExceeded without a frame of its own."""
+
+    def run(t: TypeRep, x: Any) -> Any:
+        try:
+            return r.run(r).run(t, x)
+        except RecursionError:
+            raise DepthLimitExceeded("value nests too deeply to traverse") from None
+
+    return Plate(run)
 
 
 def default_openrec(a: ApplicativeDict) -> OpenRec:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, Optional, Union
 
-from .errors import ArityMismatch, ParseError, UnknownType
+from .errors import ArityMismatch, DepthLimitExceeded, ParseError, UnknownType
 
 
 @dataclass(frozen=True)
@@ -394,7 +394,8 @@ def parse_type(text: str) -> TypePattern:
     """Parse the rendered type syntax back into a pattern.
 
     Unknown names and arity violations raise UnknownType; syntax errors
-    raise ParseError with a line and column.
+    raise ParseError with a line and column. Raises DepthLimitExceeded
+    when the type nests too deeply to parse.
     """
     pos = 0
     n = len(text)
@@ -448,7 +449,10 @@ def parse_type(text: str) -> TypePattern:
             return TypeRep(head)
         return TypeRep(head, tuple(args))
 
-    result = ty()
+    try:
+        result = ty()
+    except RecursionError:
+        raise DepthLimitExceeded("type nests too deeply to parse") from None
     skip_ws()
     if pos != n:
         raise err("trailing input after type")

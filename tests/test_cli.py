@@ -74,6 +74,14 @@ def test_validate_arity_error_is_exit_4(capsys, list_blob):
     assert cli.main(["validate", "--type", "List", list_blob]) == 4
 
 
+def test_validate_too_deep_type_is_one_error_line(capsys, list_blob):
+    deep = "List(" * 3000 + "Int" + ")" * 3000
+    assert cli.main(["validate", "--type", deep, list_blob]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: input nests too deeply to process\n"
+
+
 def _graph_file(tmp_path, nodes):
     p = tmp_path / "graph.bin"
     p.write_bytes(safeser.encode_graph(safeser.ValueGraph(nodes, 0)))

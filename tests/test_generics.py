@@ -4,8 +4,10 @@ import random
 
 import pytest
 
+from reflectix import desc as d
 from reflectix import generics as g
 from reflectix import prelude as pl
+from reflectix import views as v
 from reflectix.errors import DepthLimitExceeded, NotSupported
 from reflectix.exprlang import Add, Cst, Expr, Let, Neg, Var
 from reflectix.typerep import (
@@ -18,6 +20,7 @@ from reflectix.typerep import (
     List,
     Pair,
     String,
+    declare,
     render,
 )
 
@@ -182,6 +185,107 @@ def test_equal_agrees_with_host_equality_on_samples():
         for _ in range(40):
             x, y = gen(rng, 3), gen(rng, 3)
             assert g.equal(t, x, y) == (x == y), render(t)
+
+
+def equal_by_sumprod(t, x, y):
+    """Reference equality: walks sumprod(t) the way children_sumprod
+    does, with the pairs still to compare on a list so that deep values
+    do not nest Python frames."""
+    todo = [(v.sumprod(t), x, y)]
+    while todo:
+        sp, x, y = todo.pop()
+        if isinstance(sp, v.IsoSP):
+            todo.append((sp.inner, sp.bck(x), sp.bck(y)))
+        elif isinstance(sp, v.Sum):
+            if isinstance(x, v.Left) and isinstance(y, v.Left):
+                todo.append((sp.left, x.value, y.value))
+            elif isinstance(x, v.Right) and isinstance(y, v.Right):
+                todo.append((sp.right, x.value, y.value))
+            else:
+                return False
+        elif isinstance(sp, v.Prod):
+            todo += [(sp.right, x[1], y[1]), (sp.left, x[0], y[0])]
+        elif isinstance(sp, (v.Con, v.FieldTag)):
+            todo.append((sp.inner, x, y))
+        elif isinstance(sp, v.Delay):
+            todo.append((v.sumprod(sp.rep), x, y))
+        elif isinstance(sp, v.Base):
+            dd = d.view_desc(sp.rep)
+            if isinstance(dd, d.ArrayLikeDesc):
+                if len(x) != len(y):
+                    return False
+                todo += [(v.Delay(dd.elem), a, b) for a, b in zip(x, y)]
+            elif isinstance(dd, d.ExtensibleDesc):
+                cx, cy = d.conap(dd, x), d.conap(dd, y)
+                if cx.con is not cy.con:
+                    return False
+                fields = cx.con.fields
+                todo += [(v.Delay(f.ty), a, b) for f, a, b in zip(fields, cx.args, cy.args)]
+            elif x != y:  # a leaf, or an abstract type without a representation
+                return False
+    return True
+
+
+class _Token:
+    """Equal on the host only to itself."""
+
+
+Opaque = declare("EqualOracleOpaque", 0, ("tests",))
+d.register(Opaque, lambda: d.AbstractDesc("EqualOracleOpaque", ("tests",)))
+
+
+def _poly_spine(depth, bottom):
+    x = pl.PolyLeaf(bottom)
+    for _ in range(depth):
+        x = pl.PolyNode(pl.PolyLeaf(1), x)
+    return x
+
+
+def _oracle_cases():
+    rng = random.Random(6)
+    cases = []
+    for t, gen in TYPED_GENERATORS:
+        xs = [gen(rng, 3) for _ in range(8)]
+        cases += [(t, x, y) for x in xs for y in xs]
+    token = _Token()
+    foreign = d.ext_constructor("Failure", (String,))
+    rose = pl.Rose(1, [pl.Rose(2, [])])
+    poly = _poly_spine(200, 0)
+    return cases + [
+        (pl.NatInternal, 5, 5), (pl.NatInternal, 5, 6),
+        (pl.Nat, 5, 5), (pl.Nat, 5, 6),
+        (Opaque, token, token), (Opaque, token, _Token()),
+        (pl.Exn, pl.failure("x"), foreign.embed(("x",))),
+        (pl.Exn, pl.failure("x"), foreign.embed(("y",))),
+        (pl.Exn, pl.NOT_FOUND_VALUE, foreign.embed(("x",))),
+        (pl.Rtree(Int), rose, pl.Rose(1, [pl.Rose(2, [])])),
+        (pl.Rtree(Int), rose, pl.Rose(1, [pl.Rose(3, [])])),
+        (Pair(Int, String), (1, "a"), (1, "a")), (Pair(Int, String), (1, "a"), (2, "a")),
+        (Bool, True, True), (Bool, True, False),
+        (pl.PolyTree(Int), poly, _poly_spine(200, 0)),
+        (pl.PolyTree(Int), poly, _poly_spine(200, 1)),
+        (pl.PolyTree(Int), poly, _poly_spine(199, 0)),
+    ]
+
+
+def test_equal_agrees_with_the_sumprod_reference():
+    for t, x, y in _oracle_cases():
+        assert g.equal(t, x, y) == equal_by_sumprod(t, x, y), render(t)
+
+
+def test_equal_does_not_build_the_sumprod_view(monkeypatch):
+    expected = [equal_by_sumprod(t, x, y) for t, x, y in _oracle_cases()]
+    assert True in expected and False in expected
+
+    def refuse(t):
+        raise AssertionError(f"sumprod({render(t)}) was built")
+
+    monkeypatch.setattr(v, "sumprod", refuse)
+    monkeypatch.setattr(g, "sumprod", refuse)
+    # A registration empties every per-type memo, so each plan is built anew.
+    Fresh = declare("EqualOracleFresh", 0, ("tests",))
+    d.register(Fresh, lambda: d.AbstractDesc("EqualOracleFresh", ("tests",)))
+    assert [g.equal(t, x, y) for t, x, y in _oracle_cases()] == expected
 
 
 def test_child_filters_by_type():

@@ -5,7 +5,7 @@ import pytest
 from reflectix import effects as fx
 from reflectix import multiplate as mp
 from reflectix import prelude as pl
-from reflectix.errors import ArityMismatch
+from reflectix.errors import ArityMismatch, DepthLimitExceeded
 from reflectix.exprlang import Add, Cst, Expr, Let, Neg, Var
 from reflectix.typerep import Dyn, Int, List, Pair, String
 
@@ -269,3 +269,24 @@ def test_openrec_with_state_effect():
     out, n = fx.run_state(p.run(Expr, Add(Cst(10), Cst(20))), 0)
     assert out == Add(Cst(10), Cst(21))
     assert n == 2
+
+
+_ID = fx.identity_monad()
+_ONE = mp.ConstPlate(lambda t, x: 1)
+DEEP_PLATES = {
+    "map_family_p": mp.map_family_p(mp.IdPlate(lambda t, x: x)),
+    "traverse_family_p": mp.traverse_family_p(_ID, mp.Plate(lambda t, x: _ID.pure(x))),
+    "para_p": mp.para_p(mp.ConstPlate(lambda t, x: len)),
+    "pre_fold_p": mp.pre_fold_p(fx.sum_monoid, _ONE),
+    "post_fold_p": mp.post_fold_p(fx.sum_monoid, _ONE),
+    "tie": mp.tie(mp.default_openrec(fx.identity_applicative())),
+}
+
+
+@pytest.mark.parametrize("plate", list(DEEP_PLATES.values()), ids=list(DEEP_PLATES))
+def test_plates_refuse_deep_values_with_a_library_error(plate):
+    e = Cst(1)
+    for _ in range(3000):
+        e = Neg(e)
+    with pytest.raises(DepthLimitExceeded):
+        plate.run(Expr, e)

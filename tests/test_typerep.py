@@ -9,7 +9,7 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
-from reflectix.errors import ArityMismatch, ParseError, UnknownType
+from reflectix.errors import ArityMismatch, DepthLimitExceeded, ParseError, UnknownType
 from reflectix.typerep import (
     ANY,
     Bool,
@@ -235,6 +235,12 @@ def test_parse_type_errors():
         parse_type("Pair(Int, String) trailing")
     with pytest.raises(UnknownType):
         parse_type("Pair(Int)")
+
+
+def test_parse_type_refuses_deep_text_with_a_library_error():
+    with pytest.raises(DepthLimitExceeded, match="type nests too deeply to parse"):
+        parse_type("List(" * 3000 + "Int" + ")" * 3000)
+    assert parse_type("List(" * 200 + "Int" + ")" * 200).size == 201
 
 
 def test_is_ground():
