@@ -2,9 +2,9 @@
 
 show renders values in constructor syntax, equal compares structurally
 through the constructor table the other walkers read (views.closed),
-and the three children functions
-enumerate same-typed immediate subvalues through three different views.
-All of them work on any registered type without per-type code.
+and the three children functions enumerate same-typed immediate
+subvalues through three different views. All of them work on any
+registered type without per-type code.
 """
 
 from __future__ import annotations
