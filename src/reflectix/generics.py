@@ -148,13 +148,13 @@ def equal(t: TypeRep, x: Any, y: Any) -> bool:
     """Structural equality at type t, one level at a time.
 
     Each level is compared by a plan built once per type from the
-    constructor table the other walkers read (views.closed): a variant,
-    record or bare product splits both values with conap and compares
-    their constructors by identity. A plan hands back every argument
-    still to compare as (type, x, y); equal keeps those on a stack of
-    levels, in preorder, and finds each one's plan through the same
-    per-type memo, which shares the descriptor cache's bound and
-    invalidation. Raises DepthLimitExceeded when x or y nests more
+    split the other walkers use (views.closed): a variant, record or
+    bare product takes both values apart with it, the left first, and
+    compares their constructor entries by identity. A plan hands back
+    every argument still to compare as (type, x, y); equal keeps those
+    on a stack of levels, in preorder, and finds each one's plan through
+    the same per-type memo, which shares the descriptor cache's bound
+    and invalidation. Raises DepthLimitExceeded when x or y nests more
     than EQUAL_DEPTH levels deep.
     """
     levels = [[(t, x, y)]]  # per level, the arguments still to compare, last first
@@ -187,13 +187,29 @@ Step = Callable[[Any, Any, list], bool]
 
 @staged
 def _equal_plan(t: TypeRep) -> Step:
-    u, dd, _, table = closed(t)
+    u, dd, _, split = closed(t)
     if dd is not None:
-        return _same_con(dd, lambda con: table[id(con)].tys)
+
+        def same_con(x: Any, y: Any, below: list) -> bool:
+            (cx, ax), (cy, ay) = split(x), split(y)
+            if cx is not cy:
+                return False
+            below.extend(zip(cx.tys, ax, ay))
+            return True
+
+        return same_con
     dd = view_desc(u)
     if isinstance(dd, ExtensibleDesc):
-        # Matched by registered name: conap looks the constructor up.
-        return _same_con(dd, lambda con: (f.ty for f in con.fields))
+
+        def same_ext(x: Any, y: Any, below: list) -> bool:
+            # Matched by registered name: conap looks the constructor up.
+            cx, cy = conap(dd, x), conap(dd, y)
+            if cx.con is not cy.con:
+                return False
+            below.extend(zip((f.ty for f in cx.con.fields), cx.args, cy.args))
+            return True
+
+        return same_ext
     if isinstance(dd, ScalarDesc):
         kind = dd.kind
         return lambda x, y, below: check_leaf(kind, x) == check_leaf(kind, y)
@@ -215,20 +231,6 @@ def _equal_plan(t: TypeRep) -> Step:
         rty, to_repr = rep.repr_ty, rep.to_repr
         return lambda x, y, below: below.append((rty, to_repr(x), to_repr(y))) or True
     raise NotSupported("equal", brief(u))
-
-
-def _same_con(dd: Any, tys: Callable[[Any], Any]) -> Step:
-    """Both values split with conap, the left first; equal constructors
-    hand back each argument pair with its type, tys(constructor)."""
-
-    def same_con(x: Any, y: Any, below: list) -> bool:
-        cx, cy = conap(dd, x), conap(dd, y)
-        if cx.con is not cy.con:
-            return False
-        below.extend(zip(tys(cx.con), cx.args, cy.args))
-        return True
-
-    return same_con
 
 
 # ---------------------------------------------------------------------------

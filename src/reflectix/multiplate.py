@@ -3,12 +3,13 @@
 scrap_m splits a value into the flat tuple of every constructor
 argument and the tuple of their types, plus a rebuild function that
 checks its argument count. Records and bare products split like
-variants, through their one constructor. A Plate is a type-dispatched
-effectful transformation, total by construction: types it does not
-mention pass through untouched. Plates compose into
-children- and family-level traversals, folds, and paramorphisms, and
-open recursion lets one override the traversal at chosen types while
-the default plate carries it everywhere else.
+variants, through their one constructor. The plates take each node
+apart with the split of its type (views.closed) and build no Scrapped.
+A Plate is a type-dispatched effectful transformation, total by
+construction: types it does not mention pass through untouched. Plates
+compose into children- and family-level traversals, folds, and
+paramorphisms, and open recursion lets one override the traversal at
+chosen types while the default plate carries it everywhere else.
 """
 
 from __future__ import annotations
@@ -18,19 +19,15 @@ from typing import Any, Callable, Optional, Sequence
 
 from .effects import (
     ApplicativeDict,
-    Effectful,
     MonadDict,
     MonoidDict,
     _bind_all,
-    const_applicative,
     fmap,
-    get_const,
     identity_applicative,
     identity_monad,
     run_identity,
     traverse_list,
 )
-from .desc import conap
 from .errors import ArityMismatch, DepthLimitExceeded
 from .typerep import Dyn, TypeRep
 from .views import closed
@@ -52,26 +49,26 @@ def scrap_m(t: TypeRep, x: Any) -> Scrapped:
     returns x unchanged. rebuild raises ArityMismatch when handed the
     wrong number of arguments.
     """
-    _, dd, _, table = closed(t)
-    if dd is None:
-        return Scrapped((), (), _checked("leaf", 0, lambda _args: x))
-    ca = conap(dd, x)
-    con = ca.con
-    tys = table[id(con)].tys
-    return Scrapped(tys, ca.args, _checked(con.name, con.arity, con.embed))
+    name, tys, args, embed = _parts(t, x)
 
-
-def _checked(name: str, arity: int, embed: Callable[[Sequence[Any]], Any]) -> Callable:
-    """embed, refusing an argument sequence of the wrong length."""
-
-    def rebuild(args: Sequence[Any]) -> Any:
-        if len(args) != arity:
+    def rebuild(new: Sequence[Any]) -> Any:
+        if len(new) != len(tys):
             raise ArityMismatch(
-                f"{name} rebuild expects {arity} arguments, got {len(args)}"
+                f"{name} rebuild expects {len(tys)} arguments, got {len(new)}"
             )
-        return embed(args)
+        return embed(new)
 
-    return rebuild
+    return Scrapped(tys, args, rebuild)
+
+
+def _parts(t: TypeRep, x: Any) -> tuple:
+    """x's constructor name, argument types and arguments, and the embed
+    that rebuilds it from new ones; a leaf has none, and gives x back."""
+    parts = closed(t)[3](x)
+    if parts is None:
+        return "leaf", (), (), lambda _args: x
+    info, args = parts
+    return info.con.name, info.tys, args, info.con.embed
 
 
 @dataclass(frozen=True)
@@ -121,9 +118,9 @@ def traverse_children_p(a: ApplicativeDict, p: Plate) -> Plate:
     """Apply p to each constructor argument, left to right, rebuild."""
 
     def run(t: TypeRep, x: Any) -> Any:
-        s = scrap_m(t, x)
-        eff = traverse_list(a, lambda rv: p.run(*rv), zip(s.reps, s.values))
-        return fmap(a, s.rebuild, eff)
+        _, tys, args, embed = _parts(t, x)
+        eff = traverse_list(a, lambda rv: p.run(*rv), zip(tys, args))
+        return fmap(a, embed, eff)
 
     return Plate(run)
 
@@ -136,12 +133,17 @@ def map_children_p(p: IdPlate) -> IdPlate:
 
 
 def fold_children_p(m: MonoidDict, p: ConstPlate) -> ConstPlate:
-    """Combine p's summaries of the arguments, left to right."""
-    a = const_applicative(m)
-    inner = traverse_children_p(
-        a, Plate(lambda t, x: Effectful(a.brand, p.run(t, x)))
-    )
-    return ConstPlate(lambda t, x: get_const(inner.run(t, x)))
+    """Combine p's summaries of the arguments, left to right, from
+    m.empty: traverse_children_p in the const applicative, as a loop."""
+
+    def run(t: TypeRep, x: Any) -> Any:
+        _, tys, args, _ = _parts(t, x)
+        out = m.empty
+        for r, v in zip(tys, args):
+            out = m.combine(out, p.run(r, v))
+        return out
+
+    return ConstPlate(run)
 
 
 def traverse_family_p(m: MonadDict, p: Plate) -> Plate:
@@ -149,9 +151,9 @@ def traverse_family_p(m: MonadDict, p: Plate) -> Plate:
     each argument's computation once, left to right."""
 
     def run(t: TypeRep, x: Any) -> Any:
-        s = scrap_m(t, x)
-        kids = [run(r, v) for r, v in zip(s.reps, s.values)]
-        return _bind_all(m, kids, lambda ys: p.run(t, s.rebuild(ys)))
+        _, tys, args, embed = _parts(t, x)
+        kids = [run(r, v) for r, v in zip(tys, args)]
+        return _bind_all(m, kids, lambda ys: p.run(t, embed(ys)))
 
     return Plate(_guarded(run, "traverse"))
 
@@ -167,9 +169,10 @@ def pre_fold_p(m: MonoidDict, p: ConstPlate) -> ConstPlate:
     """Fold where each node's summary precedes its descendants'."""
 
     def run(t: TypeRep, x: Any) -> Any:
-        below = fold_children_p(m, ConstPlate(run)).run(t, x)
+        below = fold.run(t, x)
         return m.combine(p.run(t, x), below)
 
+    fold = fold_children_p(m, ConstPlate(run))  # one per fold, not per node
     return ConstPlate(_guarded(run, "fold"))
 
 
@@ -177,9 +180,10 @@ def post_fold_p(m: MonoidDict, p: ConstPlate) -> ConstPlate:
     """Fold where each node's summary follows its descendants'."""
 
     def run(t: TypeRep, x: Any) -> Any:
-        below = fold_children_p(m, ConstPlate(run)).run(t, x)
+        below = fold.run(t, x)
         return m.combine(below, p.run(t, x))
 
+    fold = fold_children_p(m, ConstPlate(run))  # one per fold, not per node
     return ConstPlate(_guarded(run, "fold"))
 
 
@@ -187,8 +191,8 @@ def para_p(step: ConstPlate) -> ConstPlate:
     """Paramorphism: step sees the node and a list of child results."""
 
     def run(t: TypeRep, x: Any) -> Any:
-        s = scrap_m(t, x)
-        rs = [run(r, v) for r, v in zip(s.reps, s.values)]
+        _, tys, args, _ = _parts(t, x)
+        rs = [run(r, v) for r, v in zip(tys, args)]
         return step.run(t, x)(rs)
 
     return ConstPlate(_guarded(run, "fold"))
@@ -210,8 +214,8 @@ def _guarded(run: Callable[[TypeRep, Any], Any], what: str) -> Callable:
 
 def children_dyn(t: TypeRep, x: Any) -> list[Dyn]:
     """Every constructor argument as a typed dynamic value."""
-    s = scrap_m(t, x)
-    return [Dyn(r, v) for r, v in zip(s.reps, s.values)]
+    _, tys, args, _ = _parts(t, x)
+    return [Dyn(r, v) for r, v in zip(tys, args)]
 
 
 def family_dyn(t: TypeRep, x: Any) -> list[Dyn]:

@@ -376,19 +376,19 @@ def _con_rule(u: TypePattern, dd: d.Desc) -> tuple:
     """A variant's constant constructor is Imm of its tag, and any other
     a Block of its tag and fields; constants and the rest are tagged
     apart, in declaration order. A record or bare product is Block 0 of
-    its one constructor's fields. Tags and field types come from the
-    constructor table of views.closed, and dd with it, as memos empty apart."""
-    _, dd, _, table = closed(u)
+    its one constructor's fields. The split of views.closed takes values
+    apart; its entries give tags and field types, and dd comes with it."""
+    _, dd, infos, split = closed(u)
     variant = isinstance(dd, d.VariantDesc)
-    cst, ncst = (dd.cst, dd.ncst) if variant else ((), (dd.con,))
-    blocks = [(c, table[id(c)].tys) for c in ncst]
+    cst = dd.cst if variant else ()
+    blocks = [info for info in infos if info.meta.kind != "cst"]
 
     def write(b: _Builder, v: Any) -> ValueNode:
-        ca = d.conap(dd, v)
-        _, meta, tys, _ = table[id(ca.con)]
+        info, args = split(v)
+        meta = info.meta
         if meta.kind == "cst":
             return Imm(meta.tag)
-        return Block(meta.tag, tuple(b._fields(tys, ca.args)))
+        return Block(meta.tag, tuple(b._fields(info.tys, args)))
 
     def read(node: ValueNode) -> tuple:
         if variant and _well_typed(node, Imm):
@@ -403,9 +403,9 @@ def _con_rule(u: TypePattern, dd: d.Desc) -> tuple:
             raise Incompatible(
                 f"{brief(u)} block tag below {len(blocks)}", f"Block tag {node.tag}"
             )
-        con, tys = blocks[node.tag]
-        _arity(con, node, "Block arity")
-        return zip(node.fields, tys), con.embed
+        info = blocks[node.tag]
+        _arity(info.con, node, "Block arity")
+        return zip(node.fields, info.tys), info.con.embed
 
     return write, read
 

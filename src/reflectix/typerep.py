@@ -195,12 +195,26 @@ def pattern_size(p: TypePattern) -> int:
 
 def render(p: TypePattern) -> str:
     """Print a pattern as Head(arg1, arg2); the wildcard prints as _.
-    Exact, for parse_type to read back; messages and repr use brief."""
-    if p is ANY:
-        return "_"
-    if not p.args:
-        return p.head.name
-    return f"{p.head.name}({', '.join(render(a) for a in p.args)})"
+    Exact, for parse_type to read back: the output is the full preorder,
+    as long as the pattern's tree, so Pair^k(Int) prints 2^k Ints.
+    brief is the bounded form, which messages and repr use. Walks with
+    an explicit stack, so any depth prints."""
+    out: list[str] = []
+    todo: list = [p]  # patterns still to print, and the text between them
+    while todo:
+        q = todo.pop()
+        if isinstance(q, str):
+            out.append(q)
+        elif q is ANY:
+            out.append("_")
+        elif not q.args:
+            out.append(q.head.name)
+        else:
+            out.append(q.head.name + "(")
+            todo.append(")")
+            for i, a in enumerate(reversed(q.args)):
+                todo.extend((", ", a) if i else (a,))
+    return "".join(out)
 
 
 BRIEF_NODES = 32
@@ -242,12 +256,22 @@ def matches(p: TypePattern, t: TypeRep) -> bool:
     """
     if p is ANY or p is t:
         return True
-    if t is ANY:
-        # Lenient queries: a wildcard argument is covered only by a wildcard.
+    # Lenient queries: a wildcard argument is covered only by a wildcard.
+    if t is ANY or p.head != t.head:
         return False
-    if p.head != t.head:
-        return False
-    return all(matches(a, b) for a, b in zip(p.args, t.args))
+    # The arguments on an explicit stack, each pair of subterms once.
+    seen: set[tuple[int, int]] = set()
+    todo = list(zip(p.args, t.args))
+    while todo:
+        a, b = todo.pop()
+        if a is ANY or a is b:
+            continue
+        if b is ANY or a.head != b.head:
+            return False
+        if (id(a), id(b)) not in seen:
+            seen.add((id(a), id(b)))
+            todo.extend(zip(a.args, b.args))
+    return True
 
 
 class Specificity(Enum):
@@ -255,6 +279,43 @@ class Specificity(Enum):
     MORE_GENERAL = "more_general"
     EQUAL = "equal"
     INCOMPARABLE = "incomparable"
+
+
+def _bottom_up(
+    p: TypePattern,
+    q: TypePattern,
+    known: Callable[[TypePattern, TypePattern], Any],
+    combine: Callable[[TypeRep, list], Any],
+) -> Any:
+    """A result for the pair (p, q), built bottom up over pairs of
+    subterms: known(a, b) answers a pair at once or gives None, and
+    combine(a, results) answers a and a pattern with its head from the
+    results of their argument pairs. Each pair is combined once per
+    call, and the pairs still waiting sit on an explicit stack, so the
+    cost is bounded by the distinct pairs and any depth is answered."""
+    r = known(p, q)
+    if r is not None:
+        return r
+    memo: dict[tuple[int, int], Any] = {}
+
+    def result(a: TypePattern, b: TypePattern) -> Any:
+        r = known(a, b)
+        return memo.get((id(a), id(b))) if r is None else r
+
+    todo = [(p, q)]
+    while todo:
+        a, b = todo[-1]
+        if result(a, b) is not None:
+            todo.pop()
+            continue
+        pairs = list(zip(a.args, b.args))
+        waiting = [(x, y) for x, y in pairs if result(x, y) is None]
+        if waiting:
+            todo.extend(waiting)
+            continue
+        memo[id(a), id(b)] = combine(a, [result(x, y) for x, y in pairs])
+        todo.pop()
+    return result(p, q)
 
 
 def compare_specificity(p: TypePattern, q: TypePattern) -> Specificity:
@@ -267,29 +328,20 @@ def compare_specificity(p: TypePattern, q: TypePattern) -> Specificity:
     identical subterms are equal at once and each pair of subterms is
     compared once per call.
     """
-    memo: dict[tuple[int, int], Specificity] = {}
 
-    def go(p: TypePattern, q: TypePattern) -> Specificity:
+    def known(p: TypePattern, q: TypePattern) -> Optional[Specificity]:
         if p is q:
             return Specificity.EQUAL
         if p is ANY:
             return Specificity.MORE_GENERAL
         if q is ANY:
             return Specificity.MORE_SPECIFIC
-        if p.head != q.head:
-            return Specificity.INCOMPARABLE
-        key = (id(p), id(q))
-        c = memo.get(key)
-        if c is None:
-            c = Specificity.EQUAL
-            for a, b in zip(p.args, q.args):
-                c = go(a, b)
-                if c is not Specificity.EQUAL:
-                    break
-            memo[key] = c
-        return c
+        return Specificity.INCOMPARABLE if p.head != q.head else None
 
-    return go(p, q)
+    def first_unequal(p: TypeRep, cs: list) -> Specificity:
+        return next((c for c in cs if c is not Specificity.EQUAL), Specificity.EQUAL)
+
+    return _bottom_up(p, q, known, first_unequal)
 
 
 def pattern_key(p: TypePattern) -> tuple:
@@ -299,20 +351,20 @@ def pattern_key(p: TypePattern) -> tuple:
     concrete head sorts before the wildcard, so a bucket sorted by this
     key always tries more specific patterns first, independently of
     registration order. Incomparable patterns tie-break by head name.
-    The key is the preorder itself, as long as the pattern's tree, so
-    no memo shortens it: Pair^k(Int) gives 2^(k+1) - 1 entries.
+    The key is the full preorder, as long as the pattern's tree, so no
+    memo shortens it: Pair^k(Int) gives 2^(k+1) - 1 entries. brief is
+    the bounded form of the same preorder. Walks with an explicit
+    stack, so any depth has a key.
     """
     out: list[tuple] = []
-
-    def walk(q: TypePattern) -> None:
+    todo = [p]
+    while todo:
+        q = todo.pop()
         if q is ANY:
             out.append((1,))
         else:
             out.append((0, q.head.name, q.head.module_path, q.head.arity))
-            for a in q.args:
-                walk(a)
-
-    walk(p)
+            todo.extend(reversed(q.args))
     return tuple(out)
 
 
@@ -330,20 +382,13 @@ def anti_unify(p: TypePattern, q: TypePattern) -> TypePattern:
     >>> render(anti_unify(List(Int), List(String)))
     'List(_)'
     """
-    memo: dict[tuple[int, int], TypePattern] = {}
 
-    def go(p: TypePattern, q: TypePattern) -> TypePattern:
+    def known(p: TypePattern, q: TypePattern) -> Optional[TypePattern]:
         if p is q:
             return p
-        if p is ANY or q is ANY or p.head != q.head:
-            return ANY
-        key = (id(p), id(q))
-        g = memo.get(key)
-        if g is None:
-            g = memo[key] = TypeRep(p.head, tuple(go(a, b) for a, b in zip(p.args, q.args)))
-        return g
+        return ANY if p is ANY or q is ANY or p.head != q.head else None
 
-    return go(p, q)
+    return _bottom_up(p, q, known, lambda a, gs: TypeRep(a.head, tuple(gs)))
 
 
 @dataclass(frozen=True)

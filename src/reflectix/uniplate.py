@@ -2,7 +2,8 @@
 
 scrap splits a value into its same-typed immediate children plus a
 rebuild function; the folds, maps and rewrites here take values apart
-the same way without building one. Children are the constructor
+the same way without building one, each with its type's split
+(views.closed), fetched once per walk. Children are the constructor
 arguments whose type equals the parent type, in declaration order, so
 for lists the only child of x :: xs is xs. The effectful traversals
 bind each child's computation once, left to right.
@@ -18,7 +19,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
 from .effects import ApplicativeDict, MonadDict, _bind_all, fmap, traverse_list
-from .desc import conap
 from .errors import ArityMismatch, DepthLimitExceeded, FuelExhausted
 from .typerep import TypeRep
 from .views import closed
@@ -34,21 +34,12 @@ class Scrap:
     rebuild: Callable[[Sequence[Any]], Any]
 
 
-def _split(t: TypeRep, x: Any) -> Optional[tuple]:
-    """x's constructor, arguments and child positions; None for a leaf type."""
-    _, dd, _, table = closed(t)
-    if dd is None:
-        return None
-    ca = conap(dd, x)
-    return ca.con, ca.args, table[id(ca.con)].positions
-
-
-def _rebuild(con: Any, args: tuple, positions: tuple, new: Sequence[Any]) -> Any:
-    """con applied to args with the children at positions replaced."""
+def _rebuild(info: Any, args: tuple, new: Sequence[Any]) -> Any:
+    """info's constructor applied to args, its children replaced."""
     vals = list(args)
-    for i, v in zip(positions, new):
+    for i, v in zip(info.positions, new):
         vals[i] = v
-    return con.embed(vals)
+    return info.con.embed(vals)
 
 
 def scrap(t: TypeRep, x: Any) -> Scrap:
@@ -60,7 +51,7 @@ def scrap(t: TypeRep, x: Any) -> Scrap:
     Which arguments are children is planned once per type; the plan
     shares the descriptor cache's bound and invalidation.
     """
-    parts = _split(t, x)
+    parts = closed(t)[3](x)
     if parts is None:
         def rebuild_leaf(new: Sequence[Any]) -> Any:
             if len(new) != 0:
@@ -68,23 +59,28 @@ def scrap(t: TypeRep, x: Any) -> Scrap:
             return x
 
         return Scrap([], rebuild_leaf)
-    con, flat, positions = parts
+    info, flat = parts
+    kids = [flat[i] for i in info.positions]
 
     def rebuild(new: Sequence[Any]) -> Any:
-        if len(new) != len(positions):
+        if len(new) != len(kids):
             raise ArityMismatch(
-                f"{con.name} rebuild expects {len(positions)} children, "
+                f"{info.con.name} rebuild expects {len(kids)} children, "
                 f"got {len(new)}"
             )
-        return _rebuild(con, flat, positions, new)
+        return _rebuild(info, flat, new)
 
-    return Scrap([flat[i] for i in positions], rebuild)
+    return Scrap(kids, rebuild)
+
+
+def _children(split: Callable, x: Any) -> list:
+    parts = split(x)
+    return [] if parts is None else [parts[1][i] for i in parts[0].positions]
 
 
 def children(t: TypeRep, x: Any) -> list:
     """Immediate same-typed subvalues of x."""
-    parts = _split(t, x)
-    return [] if parts is None else [parts[1][i] for i in parts[2]]
+    return _children(closed(t)[3], x)
 
 
 def replace_children(t: TypeRep, x: Any, new: Sequence[Any]) -> Any:
@@ -94,22 +90,23 @@ def replace_children(t: TypeRep, x: Any, new: Sequence[Any]) -> Any:
 
 def family(t: TypeRep, x: Any) -> list:
     """x and every transitive child, in preorder."""
+    split = closed(t)[3]
     out: list = []
     stack = [x]
     while stack:
         v = stack.pop()
         out.append(v)
-        stack.extend(reversed(children(t, v)))
+        stack.extend(reversed(_children(split, v)))
     return out
 
 
 def map_children(t: TypeRep, f: Callable[[Any], Any], x: Any) -> Any:
     """Apply f to each immediate child."""
-    parts = _split(t, x)
+    parts = closed(t)[3](x)
     if parts is None:
         return x
-    con, args, positions = parts
-    return _rebuild(con, args, positions, [f(args[i]) for i in positions])
+    info, args = parts
+    return _rebuild(info, args, [f(args[i]) for i in info.positions])
 
 
 def map_family(t: TypeRep, f: Callable[[Any], Any], x: Any) -> Any:
@@ -127,8 +124,13 @@ def map_family(t: TypeRep, f: Callable[[Any], Any], x: Any) -> Any:
 def para(t: TypeRep, f: Callable[[Any, list], Any], x: Any) -> Any:
     """Fold where f sees the node and its children's fold results.
     Raises DepthLimitExceeded when x nests too deeply to recurse over."""
+    split = closed(t)[3]
+
+    def go(y: Any) -> Any:  # map calls go from C: one Python frame per level
+        return f(y, list(map(go, _children(split, y))))
+
     try:
-        return f(x, [para(t, f, c) for c in children(t, x)])
+        return go(x)
     except RecursionError:
         raise DepthLimitExceeded("value nests too deeply to fold") from None
 
@@ -174,16 +176,17 @@ def traverse_family(
     """Effectful bottom-up map over the whole family, binding each
     child's computation once, left to right, then f on the rebuilt node.
     Raises DepthLimitExceeded when x nests too deeply to recurse over."""
+    split = closed(t)[3]
 
     def go(y: Any) -> Any:
-        parts = _split(t, y)
+        parts = split(y)
         if parts is None:
             return f(y)
-        con, args, positions = parts
+        info, args = parts
         kids = []
-        for i in positions:  # a loop, so one Python frame per level
+        for i in info.positions:  # a loop, so one Python frame per level
             kids.append(go(args[i]))
-        return _bind_all(m, kids, lambda new: f(_rebuild(con, args, positions, new)))
+        return _bind_all(m, kids, lambda new: f(_rebuild(info, args, new)))
 
     try:
         return go(x)

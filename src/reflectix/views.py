@@ -9,9 +9,9 @@ argument applications. The constructor-list view flattens everything
 to a list of constructors; a record or bare product has exactly one.
 
 Every view, and every traversal built on them, takes a value apart the
-same way: split(t, x) asks desc.conap for variants, records and bare
-products, and calls everything else a leaf. Only the sum-of-products
-view nests the flat argument tuple in pairs.
+same way: through the split of closed(t), made once per type, for
+variants, records and bare products; everything else is a leaf. Only
+the sum-of-products view nests the flat argument tuple in pairs.
 """
 
 from __future__ import annotations
@@ -200,8 +200,8 @@ def sumprod(t: TypeRep) -> SumProd:
 
         return IsoSP(Delay(rep.repr_ty), fwd=fwd, bck=rep.to_repr)
     if isinstance(dd, VariantDesc):
-        # dd with its table from one closed(t), as the memos empty apart.
-        _, dd, _, table = closed(t)
+        # dd with its split from one closed(t), as the memos empty apart.
+        _, dd, _, take_apart = closed(t)
         branches = [_con_sp(c) for c in dd.cons]
         if not branches:
             structure: SumProd = EMPTY
@@ -211,9 +211,9 @@ def sumprod(t: TypeRep) -> SumProd:
                 structure = Sum(b, structure)
         total = len(dd.cons)
 
-        def bck(x: Any, _v=dd) -> Any:
-            ca = conap(_v, x)
-            return _sum_value(table[id(ca.con)].index, total, _nest(ca.args))
+        def bck(x: Any) -> Any:
+            info, args = take_apart(x)
+            return _sum_value(info.index, total, _nest(args))
 
         def fwd(s: Any, _v=dd) -> Any:
             idx = 0
@@ -232,14 +232,14 @@ def sumprod(t: TypeRep) -> SumProd:
 
         return IsoSP(structure, fwd=fwd, bck=bck)
     if isinstance(dd, (RecordDesc, ProductDesc)):
-        con = dd.con
+        con, take_apart = dd.con, closed(t)[3]
         items: list[SumProd] = [Delay(f.ty) for f in con.fields]
         if isinstance(dd, RecordDesc):
             items = [FieldTag(f.name, i) for f, i in zip(con.fields, items)]
         return IsoSP(
             _prod_chain(items),
             fwd=lambda s: con.embed(_flat(s)),
-            bck=lambda x: _nest(conap(dd, x).args),
+            bck=lambda x: _nest(take_apart(x)[1]),
         )
     raise NoView(f"no sum-of-products view for {brief(t)}")
 
@@ -263,40 +263,57 @@ class ConMeta:
 class _ConInfo(NamedTuple):
     """One constructor of a type, as closed(t) tables it."""
 
+    con: Constructor
     index: int  # its place in declaration order
     meta: ConMeta  # its spine identity; kind and tag are also its wire tag
     tys: tuple[TypeRep, ...]  # its field types
     positions: tuple[int, ...]  # the fields typed as the type asked for
 
 
+def _leaf(x: Any) -> None:
+    """The split of a type without constructors: every value is a leaf."""
+
+
 @staged
-def closed(t: TypeRep) -> tuple[TypeRep, Optional[Desc], tuple, dict[int, _ConInfo]]:
+def closed(t: TypeRep) -> tuple[TypeRep, Optional[Desc], tuple[_ConInfo, ...], Callable]:
     """t past its synonyms; its descriptor if closed (a variant, record
-    or bare product), or else None; the constructors it splits values
-    into, in declaration order; and each one's _ConInfo by constructor
-    id. Extensible values are leaves here. Built once per type, for the
-    views, the traversals and the wire plans."""
+    or bare product), or else None; its constructors' entries, in
+    declaration order; and its split, which takes a value apart into its
+    entry and argument tuple in one step (classify, entry, proj), asking
+    conap only where a step fails, so that it refuses a value as conap
+    does. Extensible values are leaves here. Built once per type, for
+    the views, the traversals, equal and the wire plans."""
     u, dd = follow_synonyms(t)
     if isinstance(dd, VariantDesc):
         cons, groups = dd.cons, (("cst", dd.cst), ("ncst", dd.ncst))
-    elif isinstance(dd, RecordDesc):
-        cons, groups = (dd.con,), (("record", (dd.con,)),)
-    elif isinstance(dd, ProductDesc):
-        cons, groups = (dd.con,), (("product", (dd.con,)),)
+    elif isinstance(dd, (RecordDesc, ProductDesc)):
+        kind = "record" if isinstance(dd, RecordDesc) else "product"
+        cons, groups = (dd.con,), ((kind, (dd.con,)),)
     else:
-        return u, None, (), {}
+        return u, None, (), _leaf
     owner = u.head if isinstance(dd, ProductDesc) else dd  # a bare product: its head
-    metas = {
-        id(c): ConMeta(c.name, owner.name, owner.module_path, c.arity, kind, tag)
-        for kind, group in groups for tag, c in enumerate(group)
-    }
-    table = {}
+    entries = {id(c): (k, tag) for k, group in groups for tag, c in enumerate(group)}
+    infos = []
     for i, c in enumerate(cons):
         tys = tuple(f.ty for f in c.fields)
         # Compared with t as asked, before its synonyms are followed.
         at_t = tuple(j for j, ty in enumerate(tys) if ty_equal(ty, t) is not None)
-        table[id(c)] = _ConInfo(i, metas[id(c)], tys, at_t)
-    return u, dd, cons, table
+        meta = ConMeta(c.name, owner.name, owner.module_path, c.arity, *entries[id(c)])
+        infos.append(_ConInfo(c, i, meta, tys, at_t))
+    by_entry = {entries[id(info.con)]: info for info in infos}
+    one = None if isinstance(dd, VariantDesc) else infos[0]  # nothing to classify
+    classify = None if one else dd.classify
+
+    def split(x: Any) -> tuple[_ConInfo, tuple]:
+        info = one or by_entry.get(classify(x))
+        if info is not None:
+            args = info.con.proj(x)
+            if args is not None:
+                return info, args
+        ca = conap(dd, x)  # a refusal, or a classify outside the table
+        return next(i for i in infos if i.con is ca.con), ca.args
+
+    return u, dd, tuple(infos), split
 
 
 # ---------------------------------------------------------------------------
@@ -329,16 +346,15 @@ def spine(t: TypeRep, x: Any) -> Spine:
     Defined for variants, records, bare products and their synonyms;
     the leftmost argument sits innermost, so rebuild folds applications
     back on in declaration order. Each constructor's meta is made once
-    per type and found by the constructor's identity.
+    per type, in the entry the type's split finds.
     """
-    u, dd, _, table = closed(t)
+    u, dd, _, take_apart = closed(t)
     if dd is None:
         raise NoView(f"no spine view for {brief(u)}")
-    ca = conap(dd, x)
-    con = ca.con
-    s: Spine = ConNode(con.embed, table[id(con)].meta)
-    for f, v in zip(con.fields, ca.args):
-        s = App(s, f.ty, v)
+    info, args = take_apart(x)
+    s: Spine = ConNode(info.con.embed, info.meta)
+    for ty, v in zip(info.tys, args):
+        s = App(s, ty, v)
     return s
 
 
@@ -362,16 +378,16 @@ def conlist(t: TypeRep) -> list[Constructor]:
     """All constructors of t, past its synonyms, in declaration order:
     a record or bare product has one, and a type that is not a variant,
     record or bare product (an extensible type included) has none."""
-    return list(closed(t)[2])
+    return [info.con for info in closed(t)[2]]
 
 
 def split(t: TypeRep, x: Any) -> Optional[ConApp]:
     """Which constructor of t built x, and with what arguments.
 
-    Variants, records and bare products split through desc.conap;
-    synonyms, through the type they name. Types without constructors
-    (scalars, arrays, extensible and abstract types) are leaves and
-    give None. A value outside t raises MalformedValue.
+    Variants, records and bare products split through the split of
+    closed(t); synonyms, through the type they name. Types without
+    constructors (scalars, arrays, extensible and abstract types) are
+    leaves and give None. A value outside t raises MalformedValue.
     """
-    dd = closed(t)[1]
-    return None if dd is None else conap(dd, x)
+    parts = closed(t)[3](x)
+    return None if parts is None else ConApp(parts[0].con, parts[1])

@@ -229,7 +229,7 @@ def test_demo_expr_parse_error_is_exit_5(capsys, tmp_path):
 
 @pytest.mark.parametrize("pass_name", ["height", "simplify"])
 def test_demo_expr_too_deep_is_one_error_line(capsys, tmp_path, pass_name):
-    depth = 500
+    depth = 2000
     f = _expr_file(tmp_path, "(neg " * depth + "(cst 1)" + ")" * depth)
     assert cli.main(["demo-expr", "--pass", pass_name, f]) == 1
     captured = capsys.readouterr()

@@ -1,5 +1,6 @@
 """Every public value walk, on input 3000 levels deep, returns or raises
-a ReflectixError; none lets a bare RecursionError escape."""
+a ReflectixError; none lets a bare RecursionError escape. The type
+walks run on types 3000 and 10^4 levels deep, and give their answer."""
 
 import contextlib
 import io
@@ -17,7 +18,19 @@ from reflectix import safeser as ss
 from reflectix import uniplate as up
 from reflectix.errors import ReflectixError
 from reflectix.exprlang import Cst, Expr, Neg
-from reflectix.typerep import parse_type
+from reflectix.typerep import (
+    ANY,
+    Int,
+    Pair,
+    Specificity,
+    String,
+    anti_unify,
+    compare_specificity,
+    matches,
+    parse_type,
+    pattern_key,
+    render,
+)
 
 DEPTH = 3000
 
@@ -87,3 +100,36 @@ def test_deep_input_gives_a_result_or_a_library_error(walk):
         walk()
     except ReflectixError:
         pass
+
+
+def _nested(depth: int, leaf):
+    """Pair(Pair(...Pair(leaf, leaf)..., leaf), leaf), depth Pairs deep."""
+    t = leaf
+    for _ in range(depth):
+        t = Pair(t, leaf)
+    return t
+
+
+TYPE_WALKS = {
+    "render": (
+        lambda d: render(_nested(d, Int)),
+        lambda d: "Pair(" * d + "Int" + ", Int)" * d,
+    ),
+    "matches": (lambda d: matches(_nested(d, ANY), _nested(d, Int)), lambda d: True),
+    "compare_specificity": (
+        lambda d: compare_specificity(_nested(d, Int), _nested(d, ANY)),
+        lambda d: Specificity.MORE_SPECIFIC,
+    ),
+    "pattern_key": (lambda d: len(pattern_key(_nested(d, Int))), lambda d: 2 * d + 1),
+    "anti_unify": (
+        lambda d: anti_unify(_nested(d, Int), _nested(d, String)),
+        lambda d: _nested(d, ANY),
+    ),
+}
+
+
+@pytest.mark.parametrize("depth", [DEPTH, 10**4])
+@pytest.mark.parametrize("walk", list(TYPE_WALKS.values()), ids=list(TYPE_WALKS))
+def test_deep_type_walks_answer(walk, depth):
+    run, want = walk
+    assert run(depth) == want(depth)

@@ -1,11 +1,17 @@
 """Generic views: sum-of-products structure, spines, constructor lists."""
 
+import dataclasses
+import itertools
 import random
 
 import pytest
 
 from reflectix import desc as d
+from reflectix import effects as fx
+from reflectix import generics as g
 from reflectix import multiplate as mp
+from reflectix import safeser as ss
+from reflectix import uniplate as up
 from reflectix import views as v
 from reflectix import prelude as pl
 from reflectix.errors import (
@@ -14,8 +20,9 @@ from reflectix.errors import (
     NoMatchingConstructor,
     NoRepresentation,
     NoView,
+    ReflectixError,
 )
-from reflectix.exprlang import Add, Cst, Expr, Var
+from reflectix.exprlang import Add, Cst, Expr, Neg, Var
 from reflectix.typerep import (
     Bool,
     EqualityWitness,
@@ -239,3 +246,97 @@ def test_split_and_spine_follow_synonyms():
     s = v.spine(IntList, [1, 2])
     assert s.fun.fun.meta.name == "::"
     assert v.rebuild(s) == [1, 2]
+
+
+# ---------------------------------------------------------------------------
+# closed(t)'s split against desc.conap
+
+ExprSyn = declare("SplitExprSynonym", 0, ("tests", "views"))
+d.register(ExprSyn, lambda: d.SynonymDesc(Expr, EqualityWitness(ExprSyn, Expr)))
+
+
+def test_split_agrees_with_conap_on_every_constructor():
+    rng = random.Random(26)
+    cases = TYPED_GENERATORS + [
+        (Pair(Int, String), lambda rng, depth: (rng.randrange(9), "s")),
+        (ExprSyn, TYPED_GENERATORS[-1][1]),
+    ]
+    for t, gen in cases:
+        seen = set()
+        for _ in range(60):
+            for dv in mp.family_dyn(t, gen(rng, 3)):
+                u, dd, infos, split = v.closed(dv.rep)
+                if dd is None:
+                    assert split(dv.value) is None
+                    continue
+                info, args = split(dv.value)
+                ca = d.conap(dd, dv.value)
+                assert info.con is ca.con and args == ca.args
+                assert info is infos[info.index] and info.tys == tuple(
+                    f.ty for f in ca.con.fields
+                )
+                if dv.rep is t:
+                    seen.add(info.con.name)
+        assert seen == {c.name for c in v.conlist(t)}, render(t)
+
+
+def _expr_with(name: str, classify):
+    """A fresh head whose descriptor is Expr's with classify replaced."""
+    t = declare(name, 0, ("tests", "views"))
+    d.register(t, lambda: dataclasses.replace(d.view_desc(Expr), classify=classify))
+    return t
+
+
+# The refusals test_desc pins for conap, each on a type and a value.
+REFUSALS = {
+    "past the table": (_expr_with("SplitPastTable", lambda x: ("ncst", 6)), Cst(1)),
+    "no constants": (_expr_with("SplitNoConstants", lambda x: ("cst", 0)), Cst(1)),
+    "not a member": (Expr, 5),
+    "misclassified": (_expr_with("SplitMisclassified", lambda x: ("ncst", 1)), Cst(3)),
+}
+_ID = fx.identity_monad()
+WALKERS = {
+    "family": lambda t, x: up.family(t, x),
+    "children": lambda t, x: up.children(t, x),
+    "para": lambda t, x: up.para(t, lambda y, rs: 0, x),
+    "map_family": lambda t, x: up.map_family(t, lambda y: y, x),
+    "traverse_family": lambda t, x: up.traverse_family(_ID, t, _ID.pure, x),
+    "equal": lambda t, x: g.equal(t, x, x),
+    "family_dyn": lambda t, x: mp.family_dyn(t, x),
+    "spine": lambda t, x: v.spine(t, x),
+    "serialize": lambda t, x: ss.serialize(t, x),
+}
+
+
+@pytest.mark.parametrize("walker", list(WALKERS.values()), ids=list(WALKERS))
+@pytest.mark.parametrize("refusal", list(REFUSALS.values()), ids=list(REFUSALS))
+def test_walkers_refuse_as_conap_does(refusal, walker):
+    t, x = refusal
+    with pytest.raises(ReflectixError) as want:
+        d.conap(d.view_desc(t), x)
+    with pytest.raises(ReflectixError) as got:
+        walker(t, x)
+    assert type(got.value) is type(want.value)
+    prefix = "at root: " if walker is WALKERS["serialize"] else ""
+    assert str(got.value) == prefix + str(want.value)
+
+
+def test_a_held_split_outlives_a_registration():
+    split = v.closed(Expr)[3]
+    late = declare("SplitLateHead", 0, ("tests", "views"))
+    d.register(late, lambda: d.ScalarDesc("SplitLateHead", "int"))
+    assert v.closed(Expr)[3] is not split  # the memo was emptied
+    e = Add(Neg(Cst(1)), Var("x"))
+    info, args = split(e)
+    assert (info.con.name, args) == ("Add", (Neg(Cst(1)), Var("x")))
+    # A walk holds its split while a registration comes in mid-walk.
+    fresh = itertools.count()
+
+    def height(y, rs):
+        if not rs:
+            head = declare(f"SplitMidWalk{next(fresh)}", 0, ("tests", "views"))
+            d.register(head, lambda: d.ScalarDesc("SplitMidWalk", "int"))
+        return 1 + max(rs, default=0)
+
+    assert up.para(Expr, height, e) == 3
+    assert up.family(Expr, e) == [e, Neg(Cst(1)), Cst(1), Var("x")]
