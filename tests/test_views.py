@@ -296,15 +296,15 @@ REFUSALS = {
 }
 _ID = fx.identity_monad()
 WALKERS = {
-    "family": lambda t, x: up.family(t, x),
-    "children": lambda t, x: up.children(t, x),
+    "family": up.family,
+    "children": up.children,
     "para": lambda t, x: up.para(t, lambda y, rs: 0, x),
     "map_family": lambda t, x: up.map_family(t, lambda y: y, x),
     "traverse_family": lambda t, x: up.traverse_family(_ID, t, _ID.pure, x),
     "equal": lambda t, x: g.equal(t, x, x),
-    "family_dyn": lambda t, x: mp.family_dyn(t, x),
-    "spine": lambda t, x: v.spine(t, x),
-    "serialize": lambda t, x: ss.serialize(t, x),
+    "family_dyn": mp.family_dyn,
+    "spine": v.spine,
+    "serialize": ss.serialize,
 }
 
 
