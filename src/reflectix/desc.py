@@ -113,10 +113,9 @@ class VariantDesc(Desc):
     """A closed sum of constructors.
 
     Constant (arity 0) and non-constant constructors are indexed by
-    separate dense tag tables in declaration order. classify maps a
-    value to its (kind, tag) in constant time, and _entries maps each
-    such pair to its constructor, which keeps conap free of projection
-    scans.
+    separate dense tag tables in declaration order, and classify maps a
+    value to its (kind, tag) in constant time, so that no projection is
+    scanned to find the constructor.
     """
 
     name: str
@@ -125,14 +124,10 @@ class VariantDesc(Desc):
     classify: Callable[[Any], tuple[str, int]]
     cst: tuple[Constructor, ...] = field(init=False)
     ncst: tuple[Constructor, ...] = field(init=False)
-    _entries: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        groups = {"cst": tuple(c for c in self.cons if c.arity == 0),
-                  "ncst": tuple(c for c in self.cons if c.arity > 0)}
-        entries = {(k, i): c for k, g in groups.items() for i, c in enumerate(g)}
-        for name, value in (*groups.items(), ("_entries", entries)):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "cst", tuple(c for c in self.cons if c.arity == 0))
+        object.__setattr__(self, "ncst", tuple(c for c in self.cons if c.arity > 0))
 
     @property
     def cst_len(self) -> int:
@@ -426,14 +421,16 @@ def brief_value(v: Any) -> str:
 def conap(dd: Desc, x: Any) -> ConApp:
     """Split x into its constructor and argument tuple.
 
-    The one way to take a value apart, for variant, extensible, record
-    and bare product descriptors. Runs in constant time: a variant's
-    classify yields the (kind, tag) its table maps to the constructor;
-    an extensible value names its constructor, which is looked up in
-    the registry; a record or product has one constructor. That
-    constructor's proj then extracts the arguments. A value outside
-    the type raises MalformedValue; a descriptor without constructors
-    raises NoView.
+    For variant, extensible, record and bare product descriptors, in
+    constant time: a variant's classify yields the (kind, tag) that
+    cst_get or ncst_get maps to the constructor; an extensible value
+    names its constructor, which is looked up in the registry; a record
+    or product has one constructor. That constructor's proj then
+    extracts the arguments. A value outside the type raises
+    MalformedValue; a descriptor without constructors raises NoView.
+    The generic functions take closed types apart through the split of
+    views.closed, which refuses a value as this does, and call conap
+    for extensible values.
 
     >>> from reflectix.prelude import Rose, Rtree
     >>> from reflectix.typerep import Int, List, Pair
@@ -445,11 +442,8 @@ def conap(dd: Desc, x: Any) -> ConApp:
     ConApp(con=<constructor Pair/2>, args=(1, 2))
     """
     if isinstance(dd, VariantDesc):
-        entry = dd.classify(x)
-        con = dd._entries.get(entry)
-        if con is None:
-            kind, tag = entry
-            con = dd.cst_get(tag) if kind == "cst" else dd.ncst_get(tag)
+        kind, tag = dd.classify(x)
+        con = dd.cst_get(tag) if kind == "cst" else dd.ncst_get(tag)
     elif isinstance(dd, (RecordDesc, ProductDesc)):
         con = dd.con
     elif isinstance(dd, ExtensibleDesc):

@@ -1,10 +1,10 @@
 """Generic functions written once against the views.
 
-show renders values in constructor syntax, equal compares structurally
-through the constructor table the other walkers read (views.closed),
+show renders values in constructor syntax, equal compares structurally,
 and the three children functions enumerate same-typed immediate
-subvalues through three different views. All of them work on any
-registered type without per-type code.
+subvalues through three different views. All of them look a type up
+through views.closed, take its values apart with that type's split and
+work on any registered type without per-type code.
 """
 
 from __future__ import annotations
@@ -20,15 +20,11 @@ from .desc import (
     ProductDesc,
     RecordDesc,
     ScalarDesc,
-    SynonymDesc,
-    VariantDesc,
     brief_value,
     check_leaf,
     conap,
-    follow_synonyms,
     staged,
     try_repr,
-    view_desc,
 )
 from .errors import DepthLimitExceeded, MalformedValue, NotSupported
 from .typerep import (
@@ -102,33 +98,35 @@ show_fun.extend(List(ANY), _show_list)
 
 
 def _show_generic(t: TypeRep, x: Any) -> str:
-    dd = view_desc(t)
-    if isinstance(dd, (VariantDesc, ExtensibleDesc, RecordDesc, ProductDesc)):
-        ca = conap(dd, x)
-        fields = ca.con.fields
-        parts = [show(f.ty, v) for f, v in zip(fields, ca.args)]
-        if isinstance(dd, RecordDesc):
-            named = [f"{f.name} = {s}" for f, s in zip(fields, parts)]
-            return "{" + "; ".join(named) + "}"
-        if isinstance(dd, ProductDesc):
-            return "(" + ", ".join(parts) + ")"
-        if not parts:
-            return ca.con.name
-        return f"{ca.con.name} ({', '.join(parts)})"
-    if isinstance(dd, ScalarDesc):
+    u, dd, entries, split = closed(t)
+    if u is not t:  # a synonym: dispatch again, so a case on u wins
+        return show(u, x)
+    if entries is not None:
+        info, args = split(x)
+        con, tys = info.con, info.tys
+    elif isinstance(dd, ExtensibleDesc):
+        ca = conap(dd, x)  # its constructor found by registered name
+        con, args, tys = ca.con, ca.args, [f.ty for f in ca.con.fields]
+    elif isinstance(dd, ScalarDesc):
         v = check_leaf(dd.kind, x)
         return _quoted(v, '"') if dd.kind == "text" else repr(v)
-    if isinstance(dd, ArrayLikeDesc):
+    elif isinstance(dd, ArrayLikeDesc):
         items = (show(dd.elem, e) for e in check_leaf("array", x))
         return "[|" + "; ".join(items) + "|]"
-    if isinstance(dd, SynonymDesc):
-        return show(follow_synonyms(dd.target)[0], x)
-    if isinstance(dd, AbstractDesc):
-        rep = try_repr(t)
+    else:
+        rep = try_repr(t) if isinstance(dd, AbstractDesc) else None
         if rep is None:
             raise NotSupported(show_fun.doc, brief(t))
         return f"{dd.name}({show(rep.repr_ty, rep.to_repr(x))})"
-    raise NotSupported(show_fun.doc, brief(t))
+    parts = [show(ty, v) for ty, v in zip(tys, args)]
+    if isinstance(dd, RecordDesc):
+        named = [f"{f.name} = {s}" for f, s in zip(con.fields, parts)]
+        return "{" + "; ".join(named) + "}"
+    if isinstance(dd, ProductDesc):
+        return "(" + ", ".join(parts) + ")"
+    if not parts:
+        return con.name
+    return f"{con.name} ({', '.join(parts)})"
 
 
 show_fun.extend(ANY, _show_generic)
@@ -187,8 +185,8 @@ Step = Callable[[Any, Any, list], bool]
 
 @staged
 def _equal_plan(t: TypeRep) -> Step:
-    u, dd, _, split = closed(t)
-    if dd is not None:
+    u, dd, entries, split = closed(t)
+    if entries is not None:
 
         def same_con(x: Any, y: Any, below: list) -> bool:
             (cx, ax), (cy, ay) = split(x), split(y)
@@ -198,7 +196,6 @@ def _equal_plan(t: TypeRep) -> Step:
             return True
 
         return same_con
-    dd = view_desc(u)
     if isinstance(dd, ExtensibleDesc):
 
         def same_ext(x: Any, y: Any, below: list) -> bool:
@@ -261,7 +258,7 @@ def children_sumprod(t: TypeRep, x: Any) -> list:
         if isinstance(sp, Delay):
             return child(t, sp.rep, v)
         if isinstance(sp, Base):
-            dd = view_desc(sp.rep)
+            dd = closed(sp.rep)[1]
             if isinstance(dd, ArrayLikeDesc):
                 out = []
                 for e in check_leaf("array", v):

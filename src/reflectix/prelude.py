@@ -10,13 +10,12 @@ extensible error type).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 from . import desc as d
 from .errors import MalformedValue
 from .typerep import (
-    ANY,
     Array,
     Bool,
     Char,
@@ -26,10 +25,8 @@ from .typerep import (
     List,
     Pair,
     String,
-    TypeRep,
     Unit,
     declare,
-    ty_equal,
 )
 
 # ---------------------------------------------------------------------------

@@ -335,7 +335,7 @@ def _arity(con: d.Constructor, node: ValueNode, what: str) -> None:
         )
 
 
-def _leaf_rule(u: TypePattern, dd: d.ScalarDesc) -> tuple:
+def _leaf_rule(u: TypePattern, dd: d.ScalarDesc, *_: Any) -> tuple:
     """A leaf is one node with no fields: Imm for an int or a character
     code, Bytes for UTF-8 text, Float for any other kind."""
     kind = dd.kind
@@ -372,13 +372,12 @@ def _leaf_rule(u: TypePattern, dd: d.ScalarDesc) -> tuple:
     return write, read
 
 
-def _con_rule(u: TypePattern, dd: d.Desc) -> tuple:
+def _con_rule(u: TypePattern, dd: d.Desc, infos: tuple, split: Callable) -> tuple:
     """A variant's constant constructor is Imm of its tag, and any other
     a Block of its tag and fields; constants and the rest are tagged
     apart, in declaration order. A record or bare product is Block 0 of
     its one constructor's fields. The split of views.closed takes values
-    apart; its entries give tags and field types, and dd comes with it."""
-    _, dd, infos, split = closed(u)
+    apart, and its entries give tags and field types."""
     variant = isinstance(dd, d.VariantDesc)
     cst = dd.cst if variant else ()
     blocks = [info for info in infos if info.meta.kind != "cst"]
@@ -410,7 +409,7 @@ def _con_rule(u: TypePattern, dd: d.Desc) -> tuple:
     return write, read
 
 
-def _array_rule(u: TypePattern, dd: d.ArrayLikeDesc) -> tuple:
+def _array_rule(u: TypePattern, dd: d.ArrayLikeDesc, *_: Any) -> tuple:
     """An array is Block 0 of its elements."""
     elem = repeat(dd.elem)  # never runs out, so every node can share it
 
@@ -425,7 +424,7 @@ def _array_rule(u: TypePattern, dd: d.ArrayLikeDesc) -> tuple:
     return write, read
 
 
-def _extensible_rule(u: TypePattern, dd: d.ExtensibleDesc) -> tuple:
+def _extensible_rule(u: TypePattern, dd: d.ExtensibleDesc, *_: Any) -> tuple:
     """An extensible value is ExtCon of its constructor's name and
     fields, the constructor found by name at each node, since add_con
     may add one at any time and empties no cache."""
@@ -457,8 +456,10 @@ def _plan(t: TypePattern) -> tuple:
     rep.repr_ty's. Any other has its kind's rule: write(builder, v) is
     the node v is written as, read(node) checks the node against u and
     returns its fields, as (node, pattern) pairs, and make, which builds
-    the value from the fields' values."""
-    u, dd = d.follow_synonyms(t)
+    the value from the fields' values. The rule is handed all that
+    views.closed(t) returns."""
+    found = closed(t)
+    u, dd = found[:2]
     if isinstance(dd, d.AbstractDesc):
         rep = d.try_repr(u)
         if rep is None:
@@ -467,7 +468,7 @@ def _plan(t: TypePattern) -> tuple:
     rule = _RULES.get(type(dd))
     if rule is None:
         raise NoDescriptor(f"no descriptor for {brief(u)}")
-    return (u, None, *rule(u, dd))
+    return (u, None, *rule(*found))
 
 
 # ---------------------------------------------------------------------------

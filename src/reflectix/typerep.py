@@ -62,7 +62,9 @@ class TypeRep:
     Ground representations contain no ANY; patterns may. Construction
     interns: TypeRep(head, args) returns the existing object for an
     equal head over the same (interned) arguments, so two TypeReps are
-    equal exactly when they are identical, and hash by identity. The
+    equal exactly when they are identical, and hash by identity. Their
+    heads are interned too: two TypeReps have equal heads exactly when
+    their heads are the same object, the one declare made. The
     table holds its entries weakly, so a type nobody references is
     freed. size is the number of nodes in the term, counting
     wildcards. Instances are immutable; copying or unpickling one
@@ -92,7 +94,7 @@ class TypeRep:
             t = _interned.get(key)
             if t is None:
                 t = object.__new__(cls)
-                object.__setattr__(t, "head", head)
+                object.__setattr__(t, "head", _canonical.setdefault(head, head))
                 object.__setattr__(t, "args", args)
                 object.__setattr__(t, "size", size)
                 _interned[key] = t
@@ -111,10 +113,12 @@ class TypeRep:
         return brief(self)
 
 
-# The hash-consing table: (head, id of each argument) -> TypeRep.
-# Lookups do not take the lock; inserts do.
+# The hash-consing table: (head, id of each argument) -> TypeRep, and
+# the one Head object kept for each equal head. Lookups do not take the
+# lock; inserts do.
 _intern_lock = threading.Lock()
 _interned: "weakref.WeakValueDictionary[tuple, TypeRep]" = weakref.WeakValueDictionary()
+_canonical: dict[Head, Head] = {}
 
 TypePattern = Union[TypeRep, _AnyPattern]
 
@@ -156,6 +160,8 @@ def declare(name: str, arity: int = 0, module_path: tuple[str, ...] = ()):
             head = existing
         else:
             head = Head(name, module_path, arity)
+            with _intern_lock:
+                head = _canonical.setdefault(head, head)
             _heads[key] = head
             _by_name.setdefault(name, []).append(head)
     if arity == 0:
@@ -257,7 +263,7 @@ def matches(p: TypePattern, t: TypeRep) -> bool:
     if p is ANY or p is t:
         return True
     # Lenient queries: a wildcard argument is covered only by a wildcard.
-    if t is ANY or p.head != t.head:
+    if t is ANY or p.head is not t.head:
         return False
     # The arguments on an explicit stack, each pair of subterms once.
     seen: set[tuple[int, int]] = set()
@@ -266,7 +272,7 @@ def matches(p: TypePattern, t: TypeRep) -> bool:
         a, b = todo.pop()
         if a is ANY or a is b:
             continue
-        if b is ANY or a.head != b.head:
+        if b is ANY or a.head is not b.head:
             return False
         if (id(a), id(b)) not in seen:
             seen.add((id(a), id(b)))
@@ -336,7 +342,7 @@ def compare_specificity(p: TypePattern, q: TypePattern) -> Specificity:
             return Specificity.MORE_GENERAL
         if q is ANY:
             return Specificity.MORE_SPECIFIC
-        return Specificity.INCOMPARABLE if p.head != q.head else None
+        return Specificity.INCOMPARABLE if p.head is not q.head else None
 
     def first_unequal(p: TypeRep, cs: list) -> Specificity:
         return next((c for c in cs if c is not Specificity.EQUAL), Specificity.EQUAL)
@@ -386,7 +392,7 @@ def anti_unify(p: TypePattern, q: TypePattern) -> TypePattern:
     def known(p: TypePattern, q: TypePattern) -> Optional[TypePattern]:
         if p is q:
             return p
-        return ANY if p is ANY or q is ANY or p.head != q.head else None
+        return ANY if p is ANY or q is ANY or p.head is not q.head else None
 
     return _bottom_up(p, q, known, lambda a, gs: TypeRep(a.head, tuple(gs)))
 

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 from .desc import (
-    NO_DESC,
     AbstractDesc,
     ArrayLikeDesc,
     ConApp,
@@ -30,13 +29,11 @@ from .desc import (
     ProductDesc,
     RecordDesc,
     ScalarDesc,
-    SynonymDesc,
     VariantDesc,
     conap,
     follow_synonyms,
     staged,
     try_repr,
-    view_desc,
 )
 from .errors import ArityMismatch, NoMatchingConstructor, NoView, NoRepresentation
 from .typerep import TypeRep, brief, ty_equal
@@ -178,13 +175,11 @@ def sumprod(t: TypeRep) -> SumProd:
     cache's bound and invalidation (desc.staged), and sumprod(t)
     returns the same object while t stays cached.
     """
-    dd = view_desc(t)
-    if dd is NO_DESC:
-        raise NoView(f"no sum-of-products view for {brief(t)}")
+    u, dd, _, take_apart = closed(t)
+    if u is not t:
+        return Delay(u)
     if isinstance(dd, (ScalarDesc, ArrayLikeDesc, ExtensibleDesc)):
         return Base(t)
-    if isinstance(dd, SynonymDesc):
-        return Delay(follow_synonyms(dd.target)[0])
     if isinstance(dd, AbstractDesc):
         rep = try_repr(t)
         if rep is None:
@@ -200,8 +195,6 @@ def sumprod(t: TypeRep) -> SumProd:
 
         return IsoSP(Delay(rep.repr_ty), fwd=fwd, bck=rep.to_repr)
     if isinstance(dd, VariantDesc):
-        # dd with its split from one closed(t), as the memos empty apart.
-        _, dd, _, take_apart = closed(t)
         branches = [_con_sp(c) for c in dd.cons]
         if not branches:
             structure: SumProd = EMPTY
@@ -232,7 +225,7 @@ def sumprod(t: TypeRep) -> SumProd:
 
         return IsoSP(structure, fwd=fwd, bck=bck)
     if isinstance(dd, (RecordDesc, ProductDesc)):
-        con, take_apart = dd.con, closed(t)[3]
+        con = dd.con
         items: list[SumProd] = [Delay(f.ty) for f in con.fields]
         if isinstance(dd, RecordDesc):
             items = [FieldTag(f.name, i) for f, i in zip(con.fields, items)]
@@ -275,14 +268,17 @@ def _leaf(x: Any) -> None:
 
 
 @staged
-def closed(t: TypeRep) -> tuple[TypeRep, Optional[Desc], tuple[_ConInfo, ...], Callable]:
-    """t past its synonyms; its descriptor if closed (a variant, record
-    or bare product), or else None; its constructors' entries, in
-    declaration order; and its split, which takes a value apart into its
-    entry and argument tuple in one step (classify, entry, proj), asking
-    conap only where a step fails, so that it refuses a value as conap
-    does. Extensible values are leaves here. Built once per type, for
-    the views, the traversals, equal and the wire plans."""
+def closed(t: TypeRep) -> tuple[TypeRep, Desc, Optional[tuple[_ConInfo, ...]], Callable]:
+    """The one place a generic function looks a type up: t past its
+    synonyms; that type's descriptor, of any kind, or NO_DESC when its
+    head is unregistered; its constructors' entries, in declaration
+    order, or None unless it is a variant, record or bare product; and
+    its split, which takes a value apart into its entry and argument
+    tuple in one step (classify, entry, proj), asking conap only where a
+    step fails, so that it refuses a value as conap does. The split of
+    any other type, an extensible one included, returns None. Built once
+    per type, for the views, the traversals, show, equal and the wire
+    plans."""
     u, dd = follow_synonyms(t)
     if isinstance(dd, VariantDesc):
         cons, groups = dd.cons, (("cst", dd.cst), ("ncst", dd.ncst))
@@ -290,7 +286,7 @@ def closed(t: TypeRep) -> tuple[TypeRep, Optional[Desc], tuple[_ConInfo, ...], C
         kind = "record" if isinstance(dd, RecordDesc) else "product"
         cons, groups = (dd.con,), ((kind, (dd.con,)),)
     else:
-        return u, None, (), _leaf
+        return u, dd, None, _leaf
     owner = u.head if isinstance(dd, ProductDesc) else dd  # a bare product: its head
     entries = {id(c): (k, tag) for k, group in groups for tag, c in enumerate(group)}
     infos = []
@@ -348,8 +344,8 @@ def spine(t: TypeRep, x: Any) -> Spine:
     back on in declaration order. Each constructor's meta is made once
     per type, in the entry the type's split finds.
     """
-    u, dd, _, take_apart = closed(t)
-    if dd is None:
+    u, _, entries, take_apart = closed(t)
+    if entries is None:
         raise NoView(f"no spine view for {brief(u)}")
     info, args = take_apart(x)
     s: Spine = ConNode(info.con.embed, info.meta)
@@ -378,7 +374,7 @@ def conlist(t: TypeRep) -> list[Constructor]:
     """All constructors of t, past its synonyms, in declaration order:
     a record or bare product has one, and a type that is not a variant,
     record or bare product (an extensible type included) has none."""
-    return [info.con for info in closed(t)[2]]
+    return [info.con for info in closed(t)[2] or ()]
 
 
 def split(t: TypeRep, x: Any) -> Optional[ConApp]:

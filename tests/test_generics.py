@@ -115,9 +115,14 @@ def test_show_unsupported_type():
 def test_show_extension_point():
     from reflectix.typerep import declare
 
+    from reflectix.typerep import EqualityWitness
+
     T = declare("Celsius", 0, ("tests",))
     g.show_fun.extend(T, lambda t, x: f"{x}°C")
     assert g.show(T, 21) == "21°C"
+    S = declare("CelsiusSynonym", 0, ("tests",))
+    d.register(S, lambda: d.SynonymDesc(T, EqualityWitness(S, T)))
+    assert g.show(S, 21) == "21°C"
 
 
 def test_equal_scalars_and_strings():

@@ -10,6 +10,7 @@ import gc
 import math
 import random
 import struct
+import sys
 import time
 import tracemalloc
 from dataclasses import dataclass
@@ -20,9 +21,12 @@ from hypothesis import strategies as hst
 
 from reflectix import cli
 from reflectix import desc as d
+from reflectix import effects as fx
 from reflectix import generics as g
 from reflectix import prelude as pl
 from reflectix import safeser as ss
+from reflectix import uniplate as up
+from reflectix import views as v
 from reflectix.errors import (
     BudgetExceeded,
     CyclicValue,
@@ -1081,6 +1085,59 @@ def test_warm_walks_look_nothing_up(monkeypatch):
     assert ss.deserialize(Expr, ss.serialize(Expr, e)) == e
     ss.check_compat(Expr, graph)
     assert calls == []
+
+
+_ID = fx.identity_monad()
+GENERIC_WALKS = {
+    "show": g.show,
+    "equal": lambda t, x: g.equal(t, x, x),
+    "spine": v.spine,
+    "sumprod": lambda t, x: v.sumprod(t).bck(x),
+    "children_sumprod": g.children_sumprod,
+    "children_spine": g.children_spine,
+    "children_conlist": g.children_conlist,
+    "scrap": up.scrap,
+    "children": up.children,
+    "replace_children": lambda t, x: up.replace_children(t, x, up.children(t, x)),
+    "family": up.family,
+    "map_children": lambda t, x: up.map_children(t, lambda y: y, x),
+    "map_family": lambda t, x: up.map_family(t, lambda y: y, x),
+    "para": lambda t, x: up.para(t, lambda y, rs: len(rs), x),
+    "traverse_family": lambda t, x: up.traverse_family(_ID, t, _ID.pure, x),
+}
+
+
+def test_warm_generic_functions_look_nothing_up(monkeypatch):
+    # Each generic function reads its type from views.closed, so once
+    # warm it makes no lookup and takes no value apart with conap.
+    # generics and views bind these names themselves, so each is
+    # rebound in every module that holds it.
+    rng = random.Random(28)
+    gens = dict(TYPED_GENERATORS)
+    cases = [(t, gens[t](rng, 4)) for t in (Expr, pl.Btree(Int), pl.Rtree(Int))]
+    with d._register_lock:
+        d._invalidate()
+    for walk in GENERIC_WALKS.values():
+        for t, x in cases:
+            walk(t, x)
+    calls = []
+    mods = [m for n, m in list(sys.modules.items())
+            if m is not None and (n == "reflectix" or n.startswith("reflectix."))]
+    for name in ("view_desc", "try_repr", "conap"):
+        orig = getattr(d, name)
+
+        def counted(*args, _orig=orig, _name=name):
+            calls.append(_name)
+            return _orig(*args)
+
+        for m in mods:
+            for k, val in list(vars(m).items()):
+                if val is orig:
+                    monkeypatch.setattr(m, k, counted)
+    for name, walk in GENERIC_WALKS.items():
+        for t, x in cases:
+            walk(t, x)
+            assert calls == [], (name, render(t))
 
 
 def test_constructor_tables_outlive_descriptor_memo_rollover():

@@ -295,6 +295,21 @@ def test_head_identity_is_name_module_arity():
     assert Head("T", ("other",), 1) != h1
 
 
+def test_types_hold_the_declared_head():
+    # Head keeps value equality, but every TypeRep holds the one Head
+    # declare made, so the walks may compare heads by identity. Each
+    # type below is new, so it is built from the head it is given.
+    Box = declare("CanonicalBox", 1, ("tests",))
+    twin = Head("CanonicalBox", ("tests",), 1)
+    assert twin == Box.head and twin is not Box.head
+    assert TypeRep(twin, (Int,)).head is Box.head
+    p = TypeRep(twin, (ANY,))
+    assert p.head is Box.head
+    assert matches(p, Box(Float))
+    assert compare_specificity(p, Box(Bool)) is Specificity.MORE_GENERAL
+    assert render(anti_unify(TypeRep(twin, (String,)), Box(List(Int)))) == "CanonicalBox(_)"
+
+
 def _pair_power(k, leaf):
     p = leaf
     for _ in range(k):

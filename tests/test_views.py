@@ -266,7 +266,7 @@ def test_split_agrees_with_conap_on_every_constructor():
         for _ in range(60):
             for dv in mp.family_dyn(t, gen(rng, 3)):
                 u, dd, infos, split = v.closed(dv.rep)
-                if dd is None:
+                if infos is None:
                     assert split(dv.value) is None
                     continue
                 info, args = split(dv.value)
