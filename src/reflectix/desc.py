@@ -282,8 +282,8 @@ def staged(build: Callable[[TypeRep], Any]) -> Callable[[TypeRep], Any]:
     depend on nothing but the type and the registrations.
 
     The memo holds at most 256 types: it is emptied when it reaches
-    that bound, and register and register_repr empty every memo at
-    once. A result built while a registration came in is returned but
+    that bound, and register, register_repr and ExtFun.extend empty
+    every memo at once. A result built while a registration came in is returned but
     not kept, and so is None.
     """
     cache: dict[TypeRep, Any] = {}

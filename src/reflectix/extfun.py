@@ -16,6 +16,7 @@ import threading
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
+from .desc import _invalidate, _register_lock
 from .errors import NotSupported
 from .typerep import (
     ANY,
@@ -55,21 +56,24 @@ class ExtFun:
         """Register a case; an identical pattern overwrites its case.
 
         Buckets are replaced wholesale so concurrent dispatch never
-        observes a half-updated list.
+        observes a half-updated list. Every staged per-type memo is then
+        emptied, as desc.register does, so a plan that selected a case
+        once selects again.
         """
         case = _Case(pattern_key(pattern), pattern, fn)
-        with self._lock:
+        with self._lock, _register_lock:
             if pattern is ANY:
                 self._default = case
-                return
-            bucket = list(self._buckets.get(pattern.head, ()))
-            for i, existing in enumerate(bucket):
-                if existing.pattern == pattern:
-                    bucket[i] = case
-                    break
             else:
-                bisect.insort(bucket, case, key=lambda c: c.key)
-            self._buckets[pattern.head] = tuple(bucket)
+                bucket = list(self._buckets.get(pattern.head, ()))
+                for i, existing in enumerate(bucket):
+                    if existing.pattern == pattern:
+                        bucket[i] = case
+                        break
+                else:
+                    bisect.insort(bucket, case, key=lambda c: c.key)
+                self._buckets[pattern.head] = tuple(bucket)
+            _invalidate()
 
     def patterns(self) -> list[TypePattern]:
         """All registered patterns, bucket by bucket, most specific first."""

@@ -4,11 +4,13 @@ show renders values in constructor syntax, equal compares structurally,
 and the three children functions enumerate same-typed immediate
 subvalues through three different views. All of them look a type up
 through views.closed, take its values apart with that type's split and
-work on any registered type without per-type code.
-"""
+work on any registered type without per-type code. show and equal decide
+once per type, in a staged plan; a case show_fun.extend registers takes
+effect even at types already shown."""
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import repeat
 from typing import Any, Callable
 
@@ -27,18 +29,7 @@ from .desc import (
     try_repr,
 )
 from .errors import DepthLimitExceeded, MalformedValue, NotSupported
-from .typerep import (
-    ANY,
-    Char,
-    Float,
-    Fun,
-    Int,
-    List,
-    String,
-    TypeRep,
-    brief,
-    ty_equal,
-)
+from .typerep import ANY, Fun, List, TypeRep, brief, ty_equal
 from .views import (
     App,
     Base,
@@ -67,11 +58,12 @@ def show(t: TypeRep, x: Any) -> str:
 
     Lists print as [1; 2; 3], pairs as (1, "a"), functions as <fun>,
     variant values in constructor syntax, records in field syntax, and
-    arrays as [|1; 2|]. New cases may be registered on show_fun.
+    arrays as [|1; 2|]. New cases may be registered on show_fun; one
+    registered by extend takes effect even at types already shown.
     Raises DepthLimitExceeded when x nests too deeply to recurse over.
     """
     try:
-        return show_fun.apply(t, x)
+        return _show_plan(t)(x)
     except RecursionError:
         raise DepthLimitExceeded("value nests too deeply to show") from None
 
@@ -81,55 +73,69 @@ def _quoted(text: str, quote: str) -> str:
     return quote + text.replace("\\", "\\\\").replace(quote, "\\" + quote) + quote
 
 
-show_fun.extend(Int, lambda t, x: str(check_leaf("int", x)))
-show_fun.extend(Float, lambda t, x: repr(check_leaf("float", x)))
-show_fun.extend(Char, lambda t, x: _quoted(check_leaf("char", x), "'"))
-show_fun.extend(String, lambda t, x: _quoted(check_leaf("text", x), '"'))
-show_fun.extend(Fun(ANY, ANY), lambda t, x: "<fun>")
+# How a leaf of each ScalarDesc kind prints; check_leaf refuses any other kind.
+_LEAF_TEXT = {"int": str, "float": repr, "char": partial(_quoted, quote="'"),
+              "text": partial(_quoted, quote='"')}
 
 
 def _show_list(t: TypeRep, x: Any) -> str:
     if type(x) is not list:
         raise MalformedValue(f"not a List value: {brief_value(x)}")
-    return "[" + "; ".join(show(t.args[0], e) for e in x) + "]"
+    return "[" + "; ".join([_show_plan(t.args[0])(e) for e in x]) + "]"
 
 
+show_fun.extend(Fun(ANY, ANY), lambda t, x: "<fun>")
 show_fun.extend(List(ANY), _show_list)
 
 
 def _show_generic(t: TypeRep, x: Any) -> str:
-    u, dd, entries, split = closed(t)
-    if u is not t:  # a synonym: dispatch again, so a case on u wins
-        return show(u, x)
-    if entries is not None:
-        info, args = split(x)
-        con, tys = info.con, info.tys
-    elif isinstance(dd, ExtensibleDesc):
-        ca = conap(dd, x)  # its constructor found by registered name
-        con, args, tys = ca.con, ca.args, [f.ty for f in ca.con.fields]
-    elif isinstance(dd, ScalarDesc):
-        v = check_leaf(dd.kind, x)
-        return _quoted(v, '"') if dd.kind == "text" else repr(v)
-    elif isinstance(dd, ArrayLikeDesc):
-        items = (show(dd.elem, e) for e in check_leaf("array", x))
-        return "[|" + "; ".join(items) + "|]"
-    else:
-        rep = try_repr(t) if isinstance(dd, AbstractDesc) else None
-        if rep is None:
-            raise NotSupported(show_fun.doc, brief(t))
-        return f"{dd.name}({show(rep.repr_ty, rep.to_repr(x))})"
-    parts = [show(ty, v) for ty, v in zip(tys, args)]
-    if isinstance(dd, RecordDesc):
-        named = [f"{f.name} = {s}" for f, s in zip(con.fields, parts)]
-        return "{" + "; ".join(named) + "}"
-    if isinstance(dd, ProductDesc):
-        return "(" + ", ".join(parts) + ")"
-    if not parts:
-        return con.name
-    return f"{con.name} ({', '.join(parts)})"
+    return _show_plan(t)(x)
 
 
 show_fun.extend(ANY, _show_generic)
+
+
+@staged
+def _show_plan(t: TypeRep) -> Callable[[Any], str]:
+    """show at t, decided once per type: the case show_fun selects, or for
+    the default case a formatter chosen by t's kind in views.closed(t)."""
+    case = show_fun._select(t)
+    if case.fn is not _show_generic:
+        return partial(case.fn, t)
+    u, dd, entries, split = closed(t)
+    if u is not t:  # a synonym: u's plan, so a case on u wins
+        return _show_plan(u)
+    if isinstance(dd, ScalarDesc):
+        kind, leaf = dd.kind, _LEAF_TEXT.get(dd.kind)
+        return lambda x: leaf(check_leaf(kind, x))
+    if isinstance(dd, ArrayLikeDesc):
+        elem = dd.elem
+        return lambda x: "[|" + "; ".join(
+            [_show_plan(elem)(e) for e in check_leaf("array", x)]
+        ) + "|]"
+    if isinstance(dd, ExtensibleDesc):  # its constructor found by registered name
+        split = lambda x: (ca := conap(dd, x), ca.args)
+    elif entries is None:
+        rep = try_repr(u) if isinstance(dd, AbstractDesc) else None
+        if rep is None:
+            raise NotSupported(show_fun.doc, brief(t))
+        name, rty, to_repr = dd.name, rep.repr_ty, rep.to_repr
+        return lambda x: f"{name}({_show_plan(rty)(to_repr(x))})"
+    if isinstance(dd, RecordDesc):
+        names = [f.name for f in dd.con.fields]
+        text = lambda con, ps: "{" + "; ".join(map("{} = {}".format, names, ps)) + "}"
+    elif isinstance(dd, ProductDesc):
+        text = lambda con, ps: "(" + ", ".join(ps) + ")"
+    else:
+        text = lambda con, ps: f"{con.name} ({', '.join(ps)})" if ps else con.name
+
+    def show_con(x: Any) -> str:
+        info, args = split(x)
+        fields = info.con.fields
+        return text(info.con, [_show_plan(f.ty)(v) for f, v in zip(fields, args)])
+
+    return show_con
+
 
 # ---------------------------------------------------------------------------
 # equal

@@ -38,6 +38,20 @@ class Head:
     module_path: tuple[str, ...]
     arity: int
 
+    def __post_init__(self) -> None:
+        # Interning and the descriptor tables key on heads, so the hash
+        # is computed once; it hashes the same fields as equality reads.
+        fields = (self.name, self.module_path, self.arity)
+        object.__setattr__(self, "_hash", hash(fields))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self) -> tuple:
+        # Rebuilt from its fields, so the hash is computed afresh where
+        # it is unpickled: string hashes differ between processes.
+        return Head, (self.name, self.module_path, self.arity)
+
 
 class _AnyPattern:
     """The wildcard pattern; matches every type. Singleton."""

@@ -14,12 +14,14 @@ from reflectix import effects as fx
 from reflectix import exprlang as ex
 from reflectix import generics as g
 from reflectix import multiplate as mp
+from reflectix import prelude as pl
 from reflectix import safeser as ss
 from reflectix import uniplate as up
 from reflectix.errors import ReflectixError
 from reflectix.exprlang import Cst, Expr, Neg
 from reflectix.typerep import (
     ANY,
+    Array,
     Int,
     Pair,
     Specificity,
@@ -133,3 +135,29 @@ TYPE_WALKS = {
 def test_deep_type_walks_answer(walk, depth):
     run, want = walk
     assert run(depth) == want(depth)
+
+
+def _chain(depth: int, bottom, wrap):
+    """wrap applied depth times to bottom."""
+    for _ in range(depth):
+        bottom = wrap(bottom)
+    return bottom
+
+
+# show's plan has one rule per kind of type, and each rule here meets a
+# value DEPTH levels deep: a variant, a record through its list field, a
+# bare product whose type deepens with the value, and an array.
+SHOW_RULES = {
+    "btree": (pl.Btree(Int), _chain(DEPTH, pl.EMPTY, lambda b: pl.node(b, 1, pl.EMPTY))),
+    "rtree": (pl.Rtree(Int), _chain(DEPTH, pl.Rose(1, []), lambda r: pl.Rose(1, [r]))),
+    "pair": (_nested(DEPTH, Int), _chain(DEPTH, 1, lambda x: (x, 1))),
+    "array": (_chain(DEPTH, Int, Array), _chain(DEPTH, 1, lambda x: [x])),
+}
+
+
+@pytest.mark.parametrize("t, x", list(SHOW_RULES.values()), ids=list(SHOW_RULES))
+def test_show_gives_a_result_or_a_library_error_on_each_rule(t, x):
+    try:
+        g.show(t, x)
+    except ReflectixError:
+        pass

@@ -1,6 +1,9 @@
 """Generic show, equal, and the three children implementations."""
 
+import enum
 import random
+import sys
+import threading
 
 import pytest
 
@@ -123,6 +126,92 @@ def test_show_extension_point():
     S = declare("CelsiusSynonym", 0, ("tests",))
     d.register(S, lambda: d.SynonymDesc(T, EqualityWitness(S, T)))
     assert g.show(S, 21) == "21°C"
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+
+
+@pytest.mark.parametrize(
+    "builtin, kind, values",
+    [
+        (Int, "int", [0, -3, 42, _Level.LOW]),
+        (Float, "float", [1.5, -0.0, 1e300]),
+        (Char, "char", ["c", "'", '"', "\\", "\n"]),
+        (String, "text", ["", "it's", 'a"b', "a\\b", "two\nlines"]),
+    ],
+    ids=["int", "float", "char", "text"],
+)
+def test_a_user_scalar_shows_as_the_builtin_leaf_of_its_kind(builtin, kind, values):
+    T = declare(f"UserLeaf_{kind}", 0, ("tests",))
+    d.register(T, lambda: d.ScalarDesc(f"UserLeaf_{kind}", kind))
+    for x in values:
+        assert g.show(T, x) == g.show(builtin, x)
+    assert g.show(Char, "\n") == "'\n'" and g.show(Int, _Level.LOW) == "1"
+
+
+def test_a_case_extended_after_show_wins_at_once():
+    from reflectix.typerep import EqualityWitness
+
+    T = declare("ShownThenExtended", 0, ("tests",))
+    d.register(T, lambda: d.ScalarDesc("ShownThenExtended", "int"))
+    S = declare("ShownThenExtendedSynonym", 0, ("tests",))
+    d.register(S, lambda: d.SynonymDesc(T, EqualityWitness(S, T)))
+
+    def shown():
+        return g.show(T, 1), g.show(List(T), [1, 2]), g.show(S, 3)
+
+    assert shown() == ("1", "[1; 2]", "3")
+    g.show_fun.extend(T, lambda t, x: f"<{x}>")
+    assert shown() == ("<1>", "[<1>; <2>]", "<3>")
+
+
+def test_no_plan_built_while_extend_runs_outlives_it():
+    # Threads keep showing at T while cases are registered on it; a plan
+    # that selected the case being replaced must not be kept.
+    T = declare("ExtendRace", 0, ("tests",))
+    d.register(T, lambda: d.ScalarDesc("ExtendRace", "int"))
+    stop = threading.Event()
+
+    def show_until_stopped():
+        while not stop.is_set():
+            g.show(List(T), [1, 2])
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    threads = [threading.Thread(target=show_until_stopped) for _ in range(4)]
+    try:
+        for th in threads:
+            th.start()
+        for i in range(100):
+            g.show_fun.extend(T, lambda t, x, i=i: f"{i}:{x}")
+            assert g.show(List(T), [1, 2]) == f"[{i}:1; {i}:2]"
+    finally:
+        stop.set()
+        for th in threads:
+            th.join(timeout=30)
+        sys.setswitchinterval(old_interval)
+    assert not any(th.is_alive() for th in threads)
+
+
+def test_every_staged_memo_is_empty_after_each_registration():
+    def warm():
+        g.show(Expr, Let("x", Cst(1), Neg(Var("x"))))
+        g.equal(pl.Rtree(Int), pl.Rose(1, []), pl.Rose(1, []))
+        assert any(d._caches)
+
+    heads = [declare(f"MemoGuard{i}", 0, ("tests",)) for i in range(3)]
+    registrations = [
+        lambda: d.register(heads[0], lambda: d.AbstractDesc("MemoGuard0", ("tests",))),
+        lambda: d.register_repr(
+            heads[1], lambda: d.Representation(Int, lambda x: x, lambda x: x)
+        ),
+        lambda: g.show_fun.extend(heads[2], lambda t, x: "guarded"),
+    ]
+    for register in registrations:
+        warm()
+        register()
+        assert not any(d._caches)
 
 
 def test_equal_scalars_and_strings():
@@ -291,6 +380,108 @@ def test_equal_does_not_build_the_sumprod_view(monkeypatch):
     Fresh = declare("EqualOracleFresh", 0, ("tests",))
     d.register(Fresh, lambda: d.AbstractDesc("EqualOracleFresh", ("tests",)))
     assert [g.equal(t, x, y) for t, x, y in _oracle_cases()] == expected
+
+
+def _quote(text, q):
+    return q + text.replace("\\", "\\\\").replace(q, "\\" + q) + q
+
+
+# How Int, Float, Char and String print, by their ScalarDesc kind.
+LEAF_TEXT = {
+    "int": str,
+    "float": repr,
+    "char": lambda c: _quote(c, "'"),
+    "text": lambda s: _quote(s, '"'),
+}
+
+
+def _joined(groups, sep):
+    """The groups of tasks as one list, with sep between two groups."""
+    out = []
+    for i, group in enumerate(groups):
+        out += ([sep] if i else []) + group
+    return out
+
+
+def _prod_items(sp, x):
+    """The (structure, value) pairs of a Prod chain and its nested value."""
+    out = []
+    while isinstance(sp, v.Prod):
+        out.append((sp.left, x[0]))
+        sp, x = sp.right, x[1]
+    return out
+
+
+def _con_tasks(name, args):
+    """A constructor and its (type, value) arguments, as show writes them."""
+    if not args:
+        return [name]
+    return [name + " (", *_joined([[a] for a in args], ", "), ")"]
+
+
+def show_by_sumprod(t, x):
+    """Reference show: walks sumprod(t), with show's List and Fun cases,
+    keeping the tasks still to do on a list so that deep values do not
+    nest Python frames. A task is text to write or a (type, value)."""
+    todo, out = [(t, x)], []
+    while todo:
+        task = todo.pop()
+        if isinstance(task, str):
+            out.append(task)
+            continue
+        t, x = task
+        if t.head is List.head:
+            tasks = ["[", *_joined([[(t.args[0], e)] for e in x], "; "), "]"]
+        elif t.head is Fun.head:
+            tasks = ["<fun>"]
+        elif isinstance(sp := v.sumprod(t), v.Delay):  # a synonym
+            tasks = [(sp.rep, x)]
+        elif isinstance(sp, v.Base):
+            dd = d.view_desc(t)
+            if isinstance(dd, d.ScalarDesc):
+                tasks = [LEAF_TEXT[dd.kind](x)]
+            elif isinstance(dd, d.ArrayLikeDesc):
+                tasks = ["[|", *_joined([[(dd.elem, e)] for e in x], "; "), "|]"]
+            else:  # an extensible value
+                ca = d.conap(dd, x)
+                args = [(f.ty, a) for f, a in zip(ca.con.fields, ca.args)]
+                tasks = _con_tasks(ca.con.name, args)
+        elif isinstance(sp.inner, v.Delay):  # abstract, through its representation
+            tasks = [d.view_desc(t).name + "(", (sp.inner.rep, sp.bck(x)), ")"]
+        else:
+            s, y = sp.inner, sp.bck(x)
+            while isinstance(s, v.Sum):
+                s, y = (s.left if isinstance(y, v.Left) else s.right), y.value
+            items = _prod_items(s.inner if isinstance(s, v.Con) else s, y)
+            if isinstance(s, v.Con):
+                tasks = _con_tasks(s.name, [(a.rep, b) for a, b in items])
+            elif items and all(isinstance(a, v.FieldTag) for a, _ in items):  # a record
+                fields = [[f"{a.name} = ", (a.inner.rep, b)] for a, b in items]
+                tasks = ["{", *_joined(fields, "; "), "}"]
+            else:  # a bare product
+                tasks = ["(", *_joined([[(a.rep, b)] for a, b in items], ", "), ")"]
+        todo += reversed(tasks)
+    return "".join(out)
+
+
+def test_show_agrees_with_the_sumprod_reference():
+    rng = random.Random(7)
+    cases = [(t, gen(rng, 3)) for t, gen in TYPED_GENERATORS for _ in range(30)]
+    cases += [
+        (pl.Nat, 5),
+        (pl.NatInternal, 7),
+        (pl.Exn, pl.failure('say "hi"')),
+        (pl.Exn, pl.NOT_FOUND_VALUE),
+        (Array(Int), [1, -2, 3]),
+        (Array(Int), []),
+        (pl.Rtree(Int), pl.Rose(1, [pl.Rose(2, []), pl.Rose(3, [pl.Rose(4, [])])])),
+        (pl.PolyTree(Int), _poly_spine(200, 0)),
+        (Pair(Char, String), ("'", "a\\b")),
+        (List(Bool), [True, False]),
+        (Fun(Int, Int), abs),
+    ]
+    for t, x in cases:
+        assert g.show(t, x) == show_by_sumprod(t, x), render(t)
 
 
 def test_child_filters_by_type():

@@ -83,6 +83,15 @@ def test_typerep_is_immutable():
     assert t.args == (Int,)
 
 
+def test_a_head_hashes_its_fields_and_pickles_by_them():
+    h = Head("HashedOnce", ("tests",), 2)
+    assert hash(h) == hash(("HashedOnce", ("tests",), 2))
+    assert hash(h) == hash(Head("HashedOnce", ("tests",), 2)) and h == copy.copy(h)
+    # Unpickling rebuilds the head, so its hash is computed where it lands.
+    assert h.__reduce__() == (Head, ("HashedOnce", ("tests",), 2))
+    assert pickle.loads(pickle.dumps(h)) == h
+
+
 def test_threads_building_one_type_get_one_object():
     # Each thread also builds a chain of types no other test made, so
     # the threads race on the inserts, not only on lookups.
